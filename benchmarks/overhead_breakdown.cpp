@@ -8,9 +8,20 @@
 // operation: a language that skips the scheduler queue never pays the
 // queue rows.
 //
+// The cross-core rows put the sender and the receiver on different PE
+// threads (so, given the cores, on different cores): a 2-PE one-way stream
+// into a remote handler and a 3 -> 1 fan-in, aggregation off, so every
+// message crosses a delivery lane on its own.  Their cost is the
+// receiver's steady-state time per delivered message.
+//
 // Flags: --json[=path] machine-readable results, --quick smoke-size reps.
+#include <sched.h>
+
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -34,6 +45,68 @@ double TimeNs(const char* label, const std::function<void()>& op) {
   return ns;
 }
 
+constexpr int kWindow = 128;  // cross-core sender credit window
+
+/// Cross-core stream: PEs 1..senders each send `per_sender` 64 B messages
+/// to PE 0 in acked windows of kWindow.  Returns ns per delivered message
+/// from PE 0's first delivery to its last.
+double CrossCoreNs(int senders, int per_sender) {
+  MachineConfig cfg;
+  cfg.npes = senders + 1;
+  cfg.aggregate_sends = 0;
+  const long total = static_cast<long>(senders) * per_sender;
+  double ns = 0;
+  RunConverse(cfg, [&](int pe, int np) {
+    const int ack = CmiRegisterHandler([](void*) {});
+    long received = 0;
+    std::int64_t t_first = 0;
+    std::vector<int> window(static_cast<std::size_t>(np), 0);
+    const int sink = CmiRegisterHandler([&](void* msg) {
+      if (received++ == 0) t_first = util::NowNs();
+      const int src = CmiMsgSourcePe(msg);
+      if (++window[static_cast<std::size_t>(src)] == kWindow) {
+        window[static_cast<std::size_t>(src)] = 0;
+        void* a = CmiMakeMessage(ack, nullptr, 0);
+        CmiSyncSendAndFree(static_cast<unsigned>(src), CmiMsgTotalSize(a), a);
+      }
+      if (received == total) {
+        ns = static_cast<double>(util::NowNs() - t_first) /
+             static_cast<double>(total - 1);
+        ConverseBroadcastExit();
+      }
+    });
+    if (pe != 0) {
+      char payload[64];
+      std::memset(payload, 'x', sizeof(payload));
+      for (int i = 1; i <= per_sender; ++i) {
+        void* m = CmiMakeMessage(sink, payload, sizeof(payload));
+        CmiSyncSendAndFree(0, CmiMsgTotalSize(m), m);
+        if (i % kWindow == 0) CmiGetSpecificMsg(ack);
+      }
+    }
+    CsdScheduler(-1);
+  });
+  return ns;
+}
+
+/// "nproc N, affinity K CPUs, <CPU model>" for the header line.
+std::string HostDescriptor() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int usable =
+      sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : -1;
+  std::string model = "unknown CPU";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      model = line.substr(line.find(':') + 2);
+      break;
+    }
+  }
+  return "nproc " + std::to_string(std::thread::hardware_concurrency()) +
+         ", affinity " + std::to_string(usable) + " CPUs, " + model;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -41,7 +114,8 @@ int main(int argc, char** argv) {
   if (bench::QuickRun()) g_reps = 20000;
   std::printf("# Converse software overhead breakdown (per message, %d reps)\n",
               g_reps);
-  std::printf("# host: in-process machine, 1 PE, payload 64 B\n");
+  std::printf("# host: %s\n", HostDescriptor().c_str());
+  std::printf("# in-process machine, payload 64 B; 1 PE unless noted\n");
   double alloc_ns = 0, dispatch_ns = 0, path_ns = 0, queue_ns = 0;
 
   RunConverse(1, [&](int pe, int) {
@@ -123,6 +197,15 @@ int main(int argc, char** argv) {
     CsdScheduler(-1);
   });
 
+  // Cross-core rows: aggregation off, windows multiple of kWindow.
+  const int stream_msgs = (g_reps / 2 / kWindow) * kWindow;
+  const double oneway_ns = CrossCoreNs(1, stream_msgs);
+  std::printf("%-44s %10.1f ns/msg\n",
+              "cross-core one-way send -> remote handler", oneway_ns);
+  const double fanin_ns = CrossCoreNs(3, stream_msgs);
+  std::printf("%-44s %10.1f ns/msg\n", "cross-core fan-in 3 -> 1 (per message)",
+              fanin_ns);
+
   const double sched_extra = queue_ns - path_ns;
   std::printf("%-44s %10.1f ns/msg\n",
               "=> scheduling extra (only queue users pay)",
@@ -133,6 +216,8 @@ int main(int argc, char** argv) {
   bench::JsonAdd("full_path_ns", path_ns, "ns");
   bench::JsonAdd("sched_queue_path_ns", queue_ns, "ns");
   bench::JsonAdd("broadcast_per_dest_ns", bcast_ns, "ns");
+  bench::JsonAdd("crosscore_oneway_ns", oneway_ns, "ns");
+  bench::JsonAdd("crosscore_fanin3_ns", fanin_ns, "ns");
 
   // Sanity: on a ~1ns/instruction host, "a few tens of instructions" means
   // the non-copy overhead should be well under a microsecond.

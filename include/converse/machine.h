@@ -61,10 +61,12 @@ struct MachineConfig {
   /// The poll itself is lock-free (atomic ring/overflow probes).
   double idle_spin_us = 0.0;
 
-  /// Capacity (slots) of each PE's lock-free delivery ring; rounded up to
-  /// a power of two, minimum 4.  Each PE has two rings (regular and
-  /// immediate lane), 16 bytes per slot.  When a ring fills, senders spill
-  /// into an unbounded mutex-guarded overflow list, so this is a
+  /// Capacity (slots) of each lock-free delivery lane; rounded up to a
+  /// power of two, minimum 4.  Every (sender, receiver) pair that talks
+  /// gets its own data lane, 8 bytes per slot, allocated on the pair's
+  /// first send; each PE also has one immediate lane shared by all
+  /// senders, 16 bytes per slot.  When a lane's ring fills, its sender
+  /// spills into an unbounded mutex-guarded overflow list, so this is a
   /// throughput knob, never a correctness limit.  Tiny values (e.g. 4)
   /// are useful in tests to exercise the overflow path.
   int ring_capacity = 1024;

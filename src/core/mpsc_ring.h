@@ -1,27 +1,41 @@
-// Bounded lock-free multi-producer/single-consumer ring — the cross-PE
-// delivery fast path.  This is Vyukov's bounded queue specialised to one
-// consumer: every cell carries a sequence word that encodes whose turn the
-// cell is on, so a push is one tail CAS plus one release store and a pop is
-// one acquire load plus one release store, with no locks and no allocation.
+// Bounded lock-free delivery rings — the cross-PE delivery fast path.
 //
-// Concurrency contract:
-//  * TryPush may be called from any thread (the sending PEs).
-//  * TryPop / HasItems / Drain may be called only from the owning consumer
-//    (the receiving PE's thread, or the machine teardown path after all PE
+// SpscRing: one producer, one consumer.  Every regular (data) lane is one
+// of these per producer -> consumer pair (see DataLane in pe_state.h), so
+// senders into one PE never write a shared index: a push is a plain cell
+// store plus one seq_cst tail store, a pop is a plain cell load plus one
+// release head store.  Each side caches the other's index and re-reads it
+// only when its cache says full (producer) or empty (consumer), so in
+// steady state a push touches no line the consumer writes and a pop
+// touches no line the producer writes, apart from the cells themselves.
+//
+// MpscRing: Vyukov's bounded multi-producer queue specialised to one
+// consumer, kept for the rarely used immediate lane: every cell carries a
+// sequence word that encodes whose turn the cell is on, so a push is one
+// tail CAS plus one release store.  One ring per PE means one probe per
+// poll for a lane that is almost always empty.
+//
+// Concurrency contract (both rings):
+//  * TryPush may be called only from the ring's producer(s): the one
+//    producer thread of an SpscRing, any thread for an MpscRing.
+//  * TryPop / HasItems may be called only from the owning consumer (the
+//    receiving PE's thread, or the machine teardown path after all PE
 //    threads have joined).
 //
-// The tail CAS is seq_cst on purpose: it is one half of the Dekker pair
-// with the consumer's `parked` flag (see WaitForNet in machine.cpp) — the
-// producer's tail bump and the consumer's park announcement must be
-// globally ordered so that either the producer sees `parked` and notifies,
-// or the consumer sees the new tail and never sleeps.
+// The tail publish (SpscRing's tail store, MpscRing's tail CAS) is seq_cst
+// on purpose: it is one half of the Dekker pair with the consumer's
+// `parked` flag (see WaitForNet in machine.cpp) — the producer's publish
+// and the consumer's park announcement must be globally ordered so that
+// either the producer sees `parked` and notifies, or the consumer sees the
+// new tail and never sleeps.  HasItems' tail load is seq_cst for the same
+// reason.
 //
-// When a producer has claimed a cell but not yet published it (the two
-// instructions between the CAS and the release store), the consumer can
-// observe tail > head with an unpublished head cell.  TryPop distinguishes
-// this from "empty" via the tail and briefly yields until the publish
-// lands; the wait is bounded by the producer being between two adjacent
-// instructions (plus scheduling, on oversubscribed hosts).
+// MpscRing only: when a producer has claimed a cell but not yet published
+// it (the two instructions between the CAS and the release store), the
+// consumer can observe tail > head with an unpublished head cell.  TryPop
+// distinguishes this from "empty" via the tail and briefly yields until
+// the publish lands; the wait is bounded by the producer being between two
+// adjacent instructions (plus scheduling, on oversubscribed hosts).
 #pragma once
 
 #include <atomic>
@@ -33,6 +47,75 @@
 
 namespace converse::detail {
 
+/// Smallest power of two >= `capacity`, minimum 4.
+inline std::size_t RingSlots(std::size_t capacity) {
+  std::size_t cap = 4;
+  while (cap < capacity) cap <<= 1;
+  return cap;
+}
+
+class SpscRing {
+ public:
+  SpscRing() = default;
+  SpscRing(const SpscRing&) = delete;
+  SpscRing& operator=(const SpscRing&) = delete;
+
+  /// Allocate the cell array.  `capacity` is rounded up to a power of two
+  /// (minimum 4).  Must be called before any push/pop.
+  void Init(std::size_t capacity) {
+    const std::size_t cap = RingSlots(capacity);
+    mask_ = cap - 1;
+    cells_ = std::make_unique<void*[]>(cap);
+    tail_.store(0, std::memory_order_relaxed);
+    head_cache_ = 0;
+    head_.store(0, std::memory_order_relaxed);
+    tail_cache_ = 0;
+  }
+
+  /// Producer side: false when the ring is full (caller takes the overflow
+  /// slow path).
+  bool TryPush(void* msg) {
+    const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
+    if (pos - head_cache_ > mask_) {
+      head_cache_ = head_.load(std::memory_order_acquire);
+      if (pos - head_cache_ > mask_) return false;
+    }
+    cells_[pos & mask_] = msg;
+    tail_.store(pos + 1, std::memory_order_seq_cst);
+    return true;
+  }
+
+  /// Consumer side: next message, or nullptr when the ring is empty.
+  void* TryPop() {
+    const std::uint64_t pos = head_.load(std::memory_order_relaxed);
+    if (pos == tail_cache_) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (pos == tail_cache_) return nullptr;
+    }
+    void* msg = cells_[pos & mask_];
+    head_.store(pos + 1, std::memory_order_release);
+    return msg;
+  }
+
+  /// Consumer side: true when at least one message is published.
+  bool HasItems() const {
+    const std::uint64_t pos = head_.load(std::memory_order_relaxed);
+    return pos != tail_cache_ ||
+           tail_.load(std::memory_order_seq_cst) != pos;
+  }
+
+ private:
+  // Read-only after Init.
+  std::unique_ptr<void*[]> cells_;
+  std::size_t mask_ = 0;
+  // Producer-written line: the tail it publishes and its cached head.
+  alignas(64) std::atomic<std::uint64_t> tail_{0};
+  std::uint64_t head_cache_ = 0;
+  // Consumer-written line: the head it publishes and its cached tail.
+  alignas(64) std::atomic<std::uint64_t> head_{0};
+  std::uint64_t tail_cache_ = 0;
+};
+
 class MpscRing {
  public:
   MpscRing() = default;
@@ -42,8 +125,7 @@ class MpscRing {
   /// Allocate the cell array.  `capacity` is rounded up to a power of two
   /// (minimum 4).  Must be called before any push/pop.
   void Init(std::size_t capacity) {
-    std::size_t cap = 4;
-    while (cap < capacity) cap <<= 1;
+    const std::size_t cap = RingSlots(capacity);
     capacity_ = cap;
     mask_ = cap - 1;
     cells_ = std::make_unique<Cell[]>(cap);

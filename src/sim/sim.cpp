@@ -38,12 +38,12 @@ void SimCoordinator::HashEvent(Event kind, std::uint64_t a, std::uint64_t b,
 bool SimCoordinator::Deliverable(PeState& pe) {
   // Reading another thread's consumer-private lane state is safe here: the
   // owner is blocked (it parked through mu_, which we hold), so its last
-  // writes happen-before our reads via the mutex handoff.
-  for (const InLane* lane : {&pe.immlane, &pe.netlane}) {
-    if (lane->ring.HasItems() ||
-        lane->overflow_count.load(std::memory_order_seq_cst) != 0) {
-      return true;
-    }
+  // writes happen-before our reads via the mutex handoff.  A sim machine
+  // routes regular traffic through timedq and has no data lanes, so the
+  // immediate lane is the only ring to probe.
+  if (pe.immlane.ring.HasItems() ||
+      pe.immlane.ovf.overflow_count.load(std::memory_order_seq_cst) != 0) {
+    return true;
   }
   if (!pe.imm_batchq.empty() || !pe.batchq.empty()) return true;
   const double now = NowUs();
