@@ -31,8 +31,9 @@
 //
 // Rebalance protocol (kPeriodic): on timed machines each PE with a backlog
 // runs a virtual-clock timer (delayed self-send); every tick it publishes
-// its store size to all peers and, when above the resulting average, pushes
-// its excess toward under-average peers.  Plain machines would lose the
+// its store size to all peers (when it changed since the last publish) and,
+// when above the resulting average, pushes its excess toward under-average
+// peers.  Plain machines would lose the
 // delay (delayed self-sends degrade to immediate), so they piggyback the
 // same publish-and-push pass on every kRebalanceExecPeriod-th worker
 // execution instead.
@@ -142,6 +143,7 @@ struct CldState {
   // kPeriodic.
   bool timer_armed = false;
   std::vector<std::int64_t> samples;  // last published store size, per PE
+  std::int64_t published = 0;  // own store size as last sent to the peers
 
   CldCounters c;
 };
@@ -494,15 +496,20 @@ void StealReplyHandler(void* msg) {
 
 /// Publish this PE's store size to every peer, then push excess seeds
 /// toward under-average peers.  Runs from the virtual-clock timer on timed
-/// machines and piggybacked on worker execution on plain ones.
+/// machines and piggybacked on worker execution on plain ones.  An
+/// unchanged size is not re-sent: the peers already hold it, and while
+/// seeds run longer than a tick most ticks would re-send the same number.
 void PublishAndRebalance(CldState& st, detail::PeState& pe) {
   if (pe.npes < 2) return;
   std::int64_t own = static_cast<std::int64_t>(st.store.size());
   st.samples[static_cast<std::size_t>(pe.mype)] = own;
-  for (int i = 0; i < pe.npes; ++i) {
-    if (i == pe.mype) continue;
-    void* s = CmiMakeMessage(st.sample_handler, &own, sizeof(own));
-    SendCld(st, pe, i, s);
+  if (own != st.published) {
+    st.published = own;
+    for (int i = 0; i < pe.npes; ++i) {
+      if (i == pe.mype) continue;
+      void* s = CmiMakeMessage(st.sample_handler, &own, sizeof(own));
+      SendCld(st, pe, i, s);
+    }
   }
   std::int64_t total = 0;
   for (const std::int64_t v : st.samples) total += v;

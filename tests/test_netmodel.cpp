@@ -3,6 +3,7 @@
 #include "test_helpers.h"
 
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 using namespace converse;
@@ -12,6 +13,12 @@ TEST(NetModel, ZeroModelIsFree) {
   EXPECT_EQ(m.OnewayUs(0), 0.0);
   EXPECT_EQ(m.OnewayUs(1 << 20), 0.0);
 }
+
+namespace converse {
+// Print a model by name: gtest's default byte dump would put the name
+// pointer's address, which ASLR moves on every run, into the test names.
+void PrintTo(const NetModel& m, std::ostream* os) { *os << m.name; }
+}  // namespace converse
 
 class NamedModels : public ::testing::TestWithParam<NetModel> {};
 
