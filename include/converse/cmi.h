@@ -79,10 +79,9 @@ void CmiSyncSend(unsigned int dest_pe, unsigned int size, void* msg);
 void CmiSyncSendAndFree(unsigned int dest_pe, unsigned int size, void* msg);
 
 /// Timed send (extension): deliver `msg` to `dest_pe` no earlier than
-/// `delay_us` microseconds of machine time from now — virtual time under
-/// the simulation backend, modeled time under a NetModel — on top of the
-/// model's own latency.  Requires a timed machine (MachineConfig::sim or
-/// MachineConfig::model set); on a plain machine the delay is ignored and
+/// `delay_us` microseconds of virtual time from now, on top of the
+/// model's own latency.  Requires a sim-backed machine (MachineConfig::sim
+/// or MachineConfig::model set); on a plain machine the delay is ignored and
 /// delivery is immediate (callers that need real-time pacing on a plain
 /// machine spin on CmiTimer instead).  Timed messages bypass
 /// the aggregation layer and carry no FIFO ordering guarantee relative to

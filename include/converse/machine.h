@@ -42,10 +42,12 @@ struct MachineConfig {
   unsigned long long seed = 0x5eedULL;
 
   /// Optional network latency model; nullptr = zero-latency shared memory.
-  /// When set, a message becomes visible to its receiver only after
-  /// model.OnewayUs(payload) microseconds of wall time.  Sends a PE makes
-  /// to itself never cross the modeled network and pay no model latency
-  /// (so a delayed self-send is a pure timer; see converse/cmi.h).
+  /// When set, the machine runs on the deterministic sim (a default
+  /// SimConfig when `sim` is null) and a message becomes visible to its
+  /// receiver only after model.OnewayUs(payload) microseconds of virtual
+  /// time.  Sends a PE makes to itself never cross the modeled network and
+  /// pay no model latency (so a delayed self-send is a pure timer; see
+  /// converse/cmi.h).  Like `sim`, not allowed across real processes.
   const NetModel* model = nullptr;
 
   /// Default stack size for thread objects created on this machine.
@@ -156,8 +158,9 @@ struct MachineConfig {
 
   /// Optional deterministic-simulation backend (converse/sim.h): PEs are
   /// serialized under a seeded scheduler and a virtual clock, with optional
-  /// message-fault injection.  nullptr = normal threaded execution.  The
-  /// machine copies the config; the pointee need not outlive this struct.
+  /// message-fault injection.  nullptr = normal threaded execution, unless
+  /// `model` is set.  The machine copies the config; the pointee need not
+  /// outlive this struct.
   const SimConfig* sim = nullptr;
 
   /// Streams used by CmiPrintf / CmiError / CmiScanf. Tests may redirect.

@@ -13,9 +13,10 @@
 // packetization").  The models are used two ways:
 //  * analytically, by the figure benches (native curve = t(n), Converse
 //    curve = t(n) + measured software overhead of this implementation);
-//  * as a timed-delivery backend of the in-process machine (messages become
-//    visible to the receiver only after t(n) of wall time), used by
-//    integration tests to exercise latency-dependent code paths.
+//  * as the delivery latency of a machine (MachineConfig::model), which
+//    then runs on the deterministic sim: a message becomes visible to its
+//    receiver exactly t(n) of virtual time after its send.  Integration
+//    tests use this to exercise latency-dependent code paths.
 //
 // Parameter values are calibrated to the era's published numbers (FM on
 // Myrinet: ~25 us for <=128 B packets, Converse ~31 us; T3D: a few us short

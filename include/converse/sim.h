@@ -9,7 +9,9 @@
 // timed arrival) is drawn from a single seeded PRNG, and time is virtual —
 // it advances only when every PE is blocked, jumping straight to the next
 // modeled arrival.  The same seed therefore replays the same event order
-// bit-for-bit, captured in a trace hash.
+// bit-for-bit, captured in a trace hash.  A MachineConfig with a NetModel
+// and no SimConfig runs on a default SimConfig: the sim is the only
+// backend that applies modeled latency.
 //
 // A fault injector on the inter-PE send path can drop, duplicate, delay,
 // or reorder regular messages with configured probabilities (immediate-lane

@@ -132,11 +132,11 @@ bool TryScatterDirect(PeState& src, int dest_pe, int len, const int sizes[],
                       const void* const data_array[],
                       std::size_t payload_size) {
   Machine& m = *src.machine;
-  // The sim backend and latency models keep per-message semantics (fault
-  // draws, arrival pricing, conservation oracles); a zero-copy landing
-  // would make the matched message invisible to them, so those builds use
-  // the receive-side TryScatter path unchanged.
-  if (m.sim() != nullptr || m.has_model()) return false;
+  // The sim backend keeps per-message semantics (fault draws, NetModel
+  // arrival pricing, conservation oracles); a zero-copy landing would make
+  // the matched message invisible to them, so sim-backed machines use the
+  // receive-side TryScatter path unchanged.
+  if (m.sim() != nullptr) return false;
   // Cross-node destinations have no shared address space (and the loopback
   // wire emulates that): vector sends to them take the gather-copy path.
   if (m.multi_node() && m.NodeOf(dest_pe) != src.node) return false;
@@ -345,8 +345,8 @@ bool HasRegular(const PeState& pe) {
   return false;
 }
 
-/// Consumer side, net-model mode: refill batchq with every already-arrived
-/// timed entry (one lock per batch) and return the first one.
+/// Consumer side, sim backend: refill batchq with every timed entry that
+/// has arrived by virtual now (one lock per batch) and return the first.
 void* PopTimed(PeState& pe, Machine& m) {
   if (!pe.batchq.empty()) return PopBatch(pe.batchq);
   constexpr int kTimedBatch = 64;
@@ -435,18 +435,16 @@ void SendSharedBlockFrom(PeState& pe, int dest_pe, void* block) {
 
 namespace {
 
-void SendOwnedFromImpl(PeState& pe, int dest_pe, void* msg, double delay_us,
-                       bool allow_wire) {
-  Machine& m = *pe.machine;
+/// The prologue every owned send shares, regular or immediate: detach a
+/// shared view, validate the message, stamp its source and per-sender
+/// seq, and account the send (trace hook, counters, race clock).  Returns
+/// the message to send, which differs from `msg` after a detach.  Regular
+/// sends flush their open frames to `dest_pe` before this, so the frames'
+/// earlier messages get the earlier seq stamps (per-sender FIFO).
+void* SendPrologue(PeState& pe, int dest_pe, void* msg) {
   msg = DetachSharedView(msg);
-  assert(dest_pe >= 0 && dest_pe < m.npes() && "send to invalid PE");
-  assert((delay_us == 0.0 || m.uses_timedq()) &&
-         "delayed sends need a timed machine (sim backend or net model)");
-  // Per-sender FIFO choke point: an open aggregation frame to this
-  // destination holds earlier messages, so it must hit the wire first.
-  // (CstFlushDest detaches the frame before re-entering here, so a frame's
-  // own send passes straight through.)
-  if (!pe.agg.open.empty()) CstFlushDest(pe, dest_pe);
+  assert(dest_pe >= 0 && dest_pe < pe.machine->npes() &&
+         "send to invalid PE");
   MsgHeader* h = Header(msg);
   check::OnSend(msg);
   assert(h->magic == kMsgMagicAlive && "sending a freed message");
@@ -468,11 +466,25 @@ void SendOwnedFromImpl(PeState& pe, int dest_pe, void* msg, double delay_us,
     ++pe.qd_created;
   }
   race::OnSend(pe, dest_pe, msg);
+  return msg;
+}
+
+void SendOwnedFromImpl(PeState& pe, int dest_pe, void* msg, double delay_us,
+                       bool allow_wire) {
+  Machine& m = *pe.machine;
+  assert((delay_us == 0.0 || m.sim() != nullptr) &&
+         "delayed sends need a sim-backed machine");
+  // Per-sender FIFO choke point: an open aggregation frame to this
+  // destination holds earlier messages, so it must hit the wire first.
+  // (CstFlushDest detaches the frame before re-entering here, so a frame's
+  // own send passes straight through.)
+  if (!pe.agg.open.empty()) CstFlushDest(pe, dest_pe);
+  msg = SendPrologue(pe, dest_pe, msg);
 
   // Destinations on another node cross the wire.  A real backend consumes
   // the message (it now belongs to a peer process); the loopback wire
   // validates + counts the record and falls through (or consumes it when
-  // the disconnect injector lost it), so sim/model delivery semantics are
+  // the disconnect injector lost it), so sim delivery semantics are
   // untouched.  Single-node machines have no transport: this is one load
   // and one branch on the in-process fast path.
   if (allow_wire && m.transport() != nullptr &&
@@ -483,27 +495,12 @@ void SendOwnedFromImpl(PeState& pe, int dest_pe, void* msg, double delay_us,
 
   if (SimCoordinator* sim = m.sim()) {
     // The simulator owns the whole delivery decision: fault injection,
-    // virtual-time arrival stamping, trace hashing.  Takes ownership.
+    // NetModel latency and virtual-time arrival stamping, trace hashing.
+    // Takes ownership.
     sim->Send(pe, dest_pe, msg, delay_us);
     return;
   }
   PeState& dst = m.Pe(dest_pe);
-  if (m.has_model()) {
-    // Timed queue keeps the original mutex semantics: arrival ordering
-    // needs the priority queue, and waiters sleep on arrival deadlines.
-    // A PE's sends to itself never cross the modeled network, so they pay
-    // no model latency — a delayed self-send is a pure timer.
-    const double oneway = dest_pe == pe.mype
-                              ? 0.0
-                              : m.model().OnewayUs(CmiMsgPayloadSize(msg));
-    const double arrive_us = m.ElapsedUs() + oneway + delay_us;
-    {
-      std::scoped_lock lk(dst.mu);
-      dst.timedq.push(NetEntry{msg, arrive_us, dst.net_seq++});
-    }
-    dst.cv.notify_one();
-    return;
-  }
   DataPushFrom(pe, dst, msg);
   NotifyIfParked(dst);
 }
@@ -537,21 +534,7 @@ void DeliverFromWire(Machine& m, int dest_pe, void* msg, bool immediate) {
 void SendOwnedImmediate(int dest_pe, void* msg) {
   PeState& pe = CpvChecked();
   Machine& m = *pe.machine;
-  msg = DetachSharedView(msg);
-  assert(dest_pe >= 0 && dest_pe < m.npes() && "send to invalid PE");
-  MsgHeader* h = Header(msg);
-  check::OnSend(msg);
-  assert(h->magic == kMsgMagicAlive);
-  assert((CciCheckEnabled() || h->handler != 0xffffffffu) &&
-         "sending a message with no handler");
-  h->source_pe = static_cast<std::uint16_t>(pe.mype);
-  h->seq = static_cast<std::uint32_t>(pe.send_seq++);
-  if (pe.hooks != nullptr && pe.hooks->on_send != nullptr) {
-    pe.hooks->on_send(pe.hooks->ud, h, dest_pe);
-  }
-  ++pe.stats.msgs_sent;
-  ++pe.qd_created;
-  race::OnSend(pe, dest_pe, msg);
+  msg = SendPrologue(pe, dest_pe, msg);
   // Immediate messages bypass the sim's fault injector and latency model by
   // design — they are the reliable out-of-band control plane — but they are
   // still part of the deterministic trace.
@@ -577,7 +560,7 @@ void* PopNet(PeState& pe) {
     // delayed by the latency model.
     void* msg = PopImmediate(pe);
     if (msg == nullptr) {
-      msg = m.uses_timedq() ? PopTimed(pe, m) : PopRegular(pe);
+      msg = m.sim() != nullptr ? PopTimed(pe, m) : PopRegular(pe);
     }
     if (msg == nullptr) return nullptr;
     if (!TryScatter(pe, msg)) return msg;
@@ -588,7 +571,7 @@ void* PopNet(PeState& pe) {
 bool NetIsIdle(PeState& pe) {
   Machine& m = *pe.machine;
   if (HasImmediate(pe)) return false;
-  if (m.uses_timedq()) {
+  if (m.sim() != nullptr) {
     std::scoped_lock lk(pe.mu);
     return pe.timedq.empty() || pe.timedq.top().arrive_us > m.ElapsedUs();
   }
@@ -643,24 +626,15 @@ void WaitForNet(PeState& pe) {
     }
     return;
   }
-  // Optional spin phase: poll without sleeping (and, on the lane paths,
-  // without locking) for a configured window — dedicated-node behavior;
-  // fall through to the blocking wait after.
+  // Optional spin phase: poll without sleeping or locking for a configured
+  // window — dedicated-node behavior; fall through to the blocking wait
+  // after.
   const double spin_us = m.config().idle_spin_us;
   if (spin_us > 0) {
     const double deadline = m.ElapsedUs() + spin_us;
     while (m.ElapsedUs() < deadline) {
       if (m.aborted()) throw MachineAborted{};
-      if (HasImmediate(pe)) return;
-      if (m.has_model()) {
-        std::scoped_lock lk(pe.mu);
-        if (!pe.timedq.empty() &&
-            pe.timedq.top().arrive_us <= m.ElapsedUs()) {
-          return;
-        }
-      } else if (HasRegular(pe)) {
-        return;
-      }
+      if (HasImmediate(pe) || HasRegular(pe)) return;
     }
   }
   // From here on the PE is idle: the yield phase and the park below are
@@ -674,21 +648,19 @@ void WaitForNet(PeState& pe) {
       pe.hooks->on_idle_end(pe.hooks->ud);
     }
   };
-  // Yield phase (no-model only): before paying for a futex park, hand the
-  // core to whichever thread is runnable a few times.  On oversubscribed
-  // hosts the producer usually runs in that window and the park — plus the
+  // Yield phase: before paying for a futex park, hand the core to
+  // whichever thread is runnable a few times.  On oversubscribed hosts the
+  // producer usually runs in that window and the park — plus the
   // producer's matching lock+notify — never happens.  Bounded, so a PE
   // with genuinely nothing to do still parks promptly.
-  if (!m.has_model()) {
-    constexpr int kYieldRounds = 32;
-    for (int i = 0; i < kYieldRounds; ++i) {
-      if (m.aborted()) throw MachineAborted{};
-      if (HasImmediate(pe) || HasRegular(pe)) {
-        idle_end();
-        return;
-      }
-      std::this_thread::yield();
+  constexpr int kYieldRounds = 32;
+  for (int i = 0; i < kYieldRounds; ++i) {
+    if (m.aborted()) throw MachineAborted{};
+    if (HasImmediate(pe) || HasRegular(pe)) {
+      idle_end();
+      return;
     }
+    std::this_thread::yield();
   }
   // Park.  The seq_cst parked store before the final deliverability probe
   // pairs with the producers' seq_cst publish (data-lane tail store,
@@ -703,7 +675,7 @@ void WaitForNet(PeState& pe) {
     ~Unpark() { pe.parked.store(false, std::memory_order_seq_cst); }
   } unpark{pe};
   if (m.aborted()) throw MachineAborted{};
-  if (!m.has_model() && (HasImmediate(pe) || HasRegular(pe))) {
+  if (HasImmediate(pe) || HasRegular(pe)) {
     idle_end();
     return;
   }
@@ -711,21 +683,8 @@ void WaitForNet(PeState& pe) {
   std::unique_lock lk(pe.mu);
   for (;;) {
     if (m.aborted()) throw MachineAborted{};
-    if (HasImmediate(pe)) break;
-    if (m.has_model()) {
-      if (!pe.timedq.empty()) {
-        const double arrive = pe.timedq.top().arrive_us;
-        const double now = m.ElapsedUs();
-        if (arrive <= now) break;
-        pe.cv.wait_for(lk, std::chrono::duration<double, std::micro>(
-                               arrive - now));
-        continue;
-      }
-      pe.cv.wait(lk);
-    } else {
-      if (HasRegular(pe)) break;
-      pe.cv.wait(lk);
-    }
+    if (HasImmediate(pe) || HasRegular(pe)) break;
+    pe.cv.wait(lk);
   }
   idle_end();
 }
@@ -786,14 +745,12 @@ void ResolveTransportConfig(MachineConfig& c, std::FILE* err) {
   if (c.mynode >= 0) {
     // Real multi-process mode: delivery decisions live partly in peer
     // processes, which is incompatible with the sim's global serialization
-    // and with timed-queue (NetModel) arrival ordering.  Loopback mode
+    // (and so with a NetModel, which runs on the sim).  Loopback mode
     // (mynode == -1) supports both.
     assert(c.sim == nullptr &&
-           "the deterministic sim drives socket transports in loopback "
-           "mode (mynode == -1), not across real processes");
-    assert(c.model == nullptr &&
-           "a NetModel cannot price wires it does not carry; real "
-           "multi-process machines must run without one");
+           "the deterministic sim and a NetModel (which runs on it) drive "
+           "socket transports in loopback mode (mynode == -1), not across "
+           "real processes");
   }
 }
 
@@ -807,6 +764,11 @@ Machine::Machine(const MachineConfig& config)
       err_(config.err != nullptr ? config.err : stderr),
       in_(config.in != nullptr ? config.in : stdin) {
   assert(config.npes >= 1);
+  // A NetModel prices latency on the sim's virtual clock: a model without
+  // a sim runs on a default SimConfig.
+  if (config_.model != nullptr && config_.sim == nullptr) {
+    config_.sim = &sim_config_;
+  }
   ResolveTransportConfig(config_, err_);
   tree_ = util::SpanningTree(config_.npes, 0, config_.spantree_branching);
   pe_begin_ = config_.mynode >= 0 ? NodeFirst(config_.mynode) : 0;
@@ -820,11 +782,11 @@ Machine::Machine(const MachineConfig& config)
   const std::size_t ring_cap = static_cast<std::size_t>(
       config_.ring_capacity < 1 ? 1 : config_.ring_capacity);
   // Data-lane producer slots: every local PE, plus the comm thread when a
-  // wire backend may deliver into this process.  Timed machines deliver
-  // regular traffic through timedq and get no lane table at all
-  // (uses_timedq() is not valid yet: sim_ is created below).
+  // wire backend may deliver into this process.  Sim-backed machines
+  // deliver regular traffic through timedq and get no lane table at all
+  // (sim() is not valid yet: sim_ is created below).
   const int lane_slots = local_npes() + (multi_node() ? 1 : 0);
-  const bool lanes = config_.model == nullptr && config_.sim == nullptr;
+  const bool lanes = config_.sim == nullptr;
   for (int i = pe_begin_; i < pe_end_; ++i) {
     auto pe = std::make_unique<PeState>();
     pe->machine = this;
@@ -1117,7 +1079,7 @@ void CmiSyncSendDelayedAndFree(unsigned int dest_pe, unsigned int size,
   // couple their delivery time to unrelated traffic to the same
   // destination, and they carry no FIFO contract that frames preserve.
   detail::SendOwnedFrom(pe, static_cast<int>(dest_pe), msg,
-                        pe.machine->uses_timedq() ? delay_us : 0.0);
+                        pe.machine->sim() != nullptr ? delay_us : 0.0);
 }
 
 CommHandle CmiAsyncSend(unsigned int dest_pe, unsigned int size, void* msg) {

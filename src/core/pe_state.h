@@ -39,10 +39,10 @@ class RaceDetector;   // src/race/race.cpp (CciRace, sim-only)
 struct RacePeState;
 }  // namespace race
 
-/// A message sitting in a PE's timed (net-model) in-queue.
+/// A message sitting in a sim-backed PE's timed in-queue.
 struct NetEntry {
   void* msg;
-  double arrive_us;   // visibility time (0 when no net model)
+  double arrive_us;   // virtual visibility time
   std::uint64_t seq;  // tie-break so equal arrival times stay FIFO
 };
 
@@ -148,8 +148,8 @@ struct PeState {
   // Senders read `parked` on every push and write the lane table only when
   // they register a lane (under mu); this PE reads the table on every poll
   // and writes `parked` only when it parks or unparks.  The table is null
-  // on timed machines (sim backend, net model), which deliver regular
-  // traffic through timedq and never touch a data lane.
+  // on sim-backed machines (which is every machine with a NetModel): they
+  // deliver regular traffic through timedq and never touch a data lane.
   //
   // Registered lanes in registration order; [0, nlanes) are valid and
   // owned here.  Sized to the producer-slot count once, never resized.
@@ -163,12 +163,12 @@ struct PeState {
 
   // ---- producer-locked: the mutex, and what it guards ----
   alignas(64) std::mutex mu;  // guards lane registration, overflow deques,
-                              // timedq, and the parked condvar
+                              // timedq (sim only), and the parked condvar
   std::condition_variable cv;
   InLane immlane;  // immediate (out-of-band) messages: always delivered
                    // before regular traffic and never delayed by a net model
   std::priority_queue<NetEntry, std::vector<NetEntry>, NetEntryLater>
-      timedq;  // used with a net model (ordered by arrival time)
+      timedq;  // sim only: regular traffic, ordered by virtual arrival
   std::uint64_t net_seq = 0;
 
   // ---- consumer-only state (touched only by this PE's thread) ----
@@ -313,6 +313,7 @@ class Machine {
   std::FILE* in() const { return in_; }
 
   /// The deterministic-simulation coordinator (nullptr in normal mode).
+  /// Non-null whenever the config set `sim` or `model`.
   SimCoordinator* sim() const { return sim_.get(); }
   /// The machine's copy of the sim config (meaningful only when sim()).
   const SimConfig& sim_config() const { return sim_config_; }
@@ -320,9 +321,6 @@ class Machine {
   race::RaceDetector* race_detector() const { return race_detector_; }
   /// Internal: the CciRace wiring in race.cpp owns this slot.
   race::RaceDetector*& race_detector_slot() { return race_detector_; }
-  /// True when delivery goes through the timed priority queue (a net model
-  /// is set, or the sim backend routes everything through virtual time).
-  bool uses_timedq() const { return config_.model != nullptr || sim_ != nullptr; }
 
   /// Microseconds since machine start.
   double ElapsedUs() const;
@@ -338,7 +336,8 @@ class Machine {
 
   MachineConfig config_;
   NetModel model_;  // copy of *config.model (valid even if caller's dies)
-  SimConfig sim_config_;  // copy of *config.sim (same lifetime rule)
+  SimConfig sim_config_;  // copy of *config.sim (same lifetime rule), or
+                          // the default a model-only config runs on
   std::unique_ptr<SimCoordinator> sim_;
   race::RaceDetector* race_detector_ = nullptr;  // owned; see race.cpp
   util::SpanningTree tree_;
@@ -366,14 +365,17 @@ void SendOwned(int dest_pe, void* msg);
 
 /// SendOwned for callers that already resolved the sending PE (saves the
 /// thread-local lookup on hot paths).  A nonzero `delay_us` defers delivery
-/// by that much machine time via the timed queue (CmiSyncSendDelayedAndFree);
-/// it requires a timed machine and is ignored on the plain lane path.
+/// by that much virtual time (CmiSyncSendDelayedAndFree); it requires a
+/// sim-backed machine.
 void SendOwnedFrom(PeState& pe, int dest_pe, void* msg, double delay_us = 0.0);
 
 /// SendOwnedFrom that never consults the wire backend: used by the
 /// transport layer itself when expanding a node-cast into per-PE local
 /// deliveries (the record already crossed — and was accounted on — the
 /// wire; re-entering the wire branch would double-count or double-drop).
+/// SendOwnedFrom cannot tell this case apart by itself: in loopback mode
+/// (mynode == -1) a node-cast's local fan-out can start from a PE on
+/// another virtual node, so "destination is off my node" holds for both.
 void SendOwnedFromLocal(PeState& pe, int dest_pe, void* msg,
                         double delay_us = 0.0);
 
@@ -400,8 +402,8 @@ bool TryScatter(PeState& pe, void* msg);
 /// Zero-copy scatter landing for CmiVectorSend (called on the *sender*):
 /// if `dest_pe` has a matching registration, copy the gathered segments
 /// straight into its user buffers — no intermediate message — and true is
-/// returned.  Inactive under the sim backend or a latency model (those
-/// paths keep per-message fault/latency semantics).
+/// returned.  Inactive under the sim backend (it keeps per-message
+/// fault/latency semantics).
 bool TryScatterDirect(PeState& src, int dest_pe, int len, const int sizes[],
                       const void* const data_array[],
                       std::size_t payload_size);
@@ -412,8 +414,9 @@ bool TryScatterDirect(PeState& src, int dest_pe, int len, const int sizes[],
 /// push.  Flushes the sender's open frame to `dest_pe` first (FIFO).
 void SendSharedBlockFrom(PeState& pe, int dest_pe, void* block);
 
-/// True when no network message is deliverable right now (both lanes and,
-/// under a net model, the timed queue).  Must run on `pe`'s own thread.
+/// True when no network message is deliverable right now (both lanes, or
+/// under the sim the immediate lane and the timed queue).  Must run on
+/// `pe`'s own thread.
 bool NetIsIdle(PeState& pe);
 
 /// Deliver buffered-held + available network messages, up to `budget`

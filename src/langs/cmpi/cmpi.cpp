@@ -111,7 +111,8 @@ void ProcessWire(MpiState& st, const MpiWire* wire) {
 
   std::uint64_t& expected = st.recv_expected[key];
   if (wire->seq != expected) {
-    // Out-of-order arrival (possible under the timed-delivery machine):
+    // Out-of-order arrival (possible under a NetModel, which prices sizes
+    // differently):
     // stash until its predecessors land — the "maintaining delivery
     // sequence" overhead the paper talks about.
     assert(wire->seq > expected && "duplicate cmpi sequence number");

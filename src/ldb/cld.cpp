@@ -169,7 +169,7 @@ void SendCld(CldState& st, detail::PeState& pe, int dest, void* msg,
              double delay_us = 0.0) {
   ++st.c.msgs_sent;
   detail::SendOwnedFrom(pe, dest, msg,
-                        pe.machine->uses_timedq() ? delay_us : 0.0);
+                        pe.machine->sim() != nullptr ? delay_us : 0.0);
 }
 
 /// Restore the seed's own handler and enqueue it locally: the seed has
@@ -285,7 +285,7 @@ void StoreSeed(CldState& st, detail::PeState& pe, void* msg,
   st.steal_fails = 0;  // fresh work: probing may pay again after this drains
   if (st.strat == CldStrategy::kSteal) ServeHungry(st, pe);
   if (st.strat == CldStrategy::kPeriodic && pe.npes > 1 &&
-      pe.machine->uses_timedq() && !st.timer_armed) {
+      pe.machine->sim() != nullptr && !st.timer_armed) {
     st.timer_armed = true;
     void* t = CmiMakeMessage(st.ptimer_handler, "", 0);
     SendCld(st, pe, pe.mype, t, kPeriodicTickUs);
@@ -324,13 +324,13 @@ void RunWorker(CldState& st, detail::PeState& pe) {
     void* msg = it->second;
     st.store.erase(it);
     ++executed;
-    if (st.strat == CldStrategy::kPeriodic && !pe.machine->uses_timedq() &&
+    if (st.strat == CldStrategy::kPeriodic && pe.machine->sim() == nullptr &&
         ++st.execs_since_pass >= kRebalanceExecPeriod) {
       st.execs_since_pass = 0;
       PublishAndRebalance(st, pe);
     }
     ExecuteSeed(st, msg);
-    if (st.charge_us > 0.0 && pe.machine->uses_timedq()) {
+    if (st.charge_us > 0.0 && pe.machine->sim() != nullptr) {
       // The seed declared virtual cost: the next pop happens that much
       // virtual time later.  Re-arm even with an empty store so the PE's
       // busy interval extends the run's virtual makespan.

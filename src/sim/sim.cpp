@@ -39,8 +39,8 @@ bool SimCoordinator::Deliverable(PeState& pe) {
   // Reading another thread's consumer-private lane state is safe here: the
   // owner is blocked (it parked through mu_, which we hold), so its last
   // writes happen-before our reads via the mutex handoff.  A sim machine
-  // routes regular traffic through timedq and has no data lanes, so the
-  // immediate lane is the only ring to probe.
+  // (with or without a NetModel) routes regular traffic through timedq and
+  // has no data lanes, so the immediate lane is the only ring to probe.
   if (pe.immlane.ring.HasItems() ||
       pe.immlane.ovf.overflow_count.load(std::memory_order_seq_cst) != 0) {
     return true;

@@ -91,8 +91,8 @@ struct Service::PerPe {
   const SvcConfig* cfg = nullptr;
   int mype = 0;
   int npes = 1;
-  bool timed = false;   // machine has a timed queue (sim or net model)
-  bool simmed = false;  // sim coordinator present: quiescence ends the run
+  bool simmed = false;  // sim-backed: virtual-time timers, and quiescence
+                        // ends the run
 
   SvcPeStats stats;
 
@@ -207,8 +207,8 @@ void MaybeClientDone(PerPe& me) {
 
 void WorkFor(PerPe& me, std::uint32_t worker, double us) {
   if (us <= 0) return;
-  if (me.timed) {
-    // Timed machine: park on a delayed self-send — the service time is
+  if (me.simmed) {
+    // Sim-backed machine: park on a delayed self-send — the service time is
     // exact virtual time, and workers overlap (the PE serves other work
     // while this one waits on its clock).
     ArmTimer(me, kWorkerWake, worker, us);
@@ -279,7 +279,6 @@ void Service::Start() {
   me.cfg = &cfg_;
   me.mype = mype;
   me.npes = npes_;
-  me.timed = m.uses_timedq();
   me.simmed = m.sim() != nullptr;
   me.mm = CmmNew();
   me.sessions.assign(
@@ -387,7 +386,7 @@ void Service::GenerateLoad(const SvcLoad& load) {
   me.gen_remaining = load.requests_per_pe;
   if (me.gen_remaining == 0) return;
   me.all_sent = false;
-  if (me.timed) {
+  if (me.simmed) {
     // Virtual-time generator: a chain of delayed self-ticks, armed here and
     // advanced by h_timer once Serve() runs the scheduler.
     ArmTimer(me, kTick, 0, DrawGapUs(me));

@@ -56,8 +56,9 @@ TEST(Cmpi, PairwiseFifoOrderingGuarantee) {
 }
 
 TEST(Cmpi, FifoHoldsUnderReorderingNetwork) {
-  // The timed-delivery machine can physically reorder different-size
-  // messages; cmpi's sequence numbers must restore sender order.
+  // A NetModel machine (sim-backed, virtual time) physically reorders
+  // different-size messages; cmpi's sequence numbers must restore sender
+  // order.
   NetModel bw;
   bw.name = "reorder";
   bw.alpha_us = 100;

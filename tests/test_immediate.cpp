@@ -36,27 +36,34 @@ TEST(Immediate, OvertakesEarlierRegularMessages) {
 }
 
 TEST(Immediate, NotDelayedByNetworkModel) {
+  // A machine with a model runs on the sim's virtual clock, so arrival
+  // times are exact: the immediate skips the model, while the regular
+  // message sent just before it pays the full 50 ms.
   NetModel slow;
   slow.name = "slow";
   slow.alpha_us = 50000;  // 50 ms for regular traffic
   MachineConfig cfg;
   cfg.npes = 2;
   cfg.model = &slow;
-  std::atomic<double> arrival_s{1e9};
+  std::atomic<double> imm_us{-1};
+  std::atomic<double> reg_us{-1};
   RunConverse(cfg, [&](int pe, int) {
-    int rec = CmiRegisterHandler([&](void*) {
-      arrival_s = CmiTimer();
+    int imm = CmiRegisterHandler([&](void*) { imm_us = CmiTimer() * 1e6; });
+    int reg = CmiRegisterHandler([&](void*) {
+      reg_us = CmiTimer() * 1e6;
       CsdExitScheduler();
     });
     if (pe == 0) {
-      void* m = CmiMakeMessage(rec, nullptr, 0);
+      void* r = CmiMakeMessage(reg, nullptr, 0);
+      CmiSyncSendAndFree(1, CmiMsgTotalSize(r), r);
+      void* m = CmiMakeMessage(imm, nullptr, 0);
       CmiSyncSendImmediateAndFree(1, CmiMsgTotalSize(m), m);
       return;
     }
     CsdScheduler(-1);
   });
-  // Far quicker than the 50 ms the model would impose.
-  EXPECT_LT(arrival_s.load(), 0.045);
+  EXPECT_EQ(imm_us.load(), 0.0);
+  EXPECT_DOUBLE_EQ(reg_us.load(), 50000.0);
 }
 
 TEST(Immediate, ProbeImmediatesFromLongRunningHandler) {

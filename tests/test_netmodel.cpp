@@ -1,5 +1,6 @@
 // Network model tests: analytic properties of the per-machine latency
-// models (Figures 4-8) and behaviour of the timed-delivery machine backend.
+// models (Figures 4-8) and behaviour of a machine that applies them, which
+// runs on the deterministic sim's virtual clock.
 #include "test_helpers.h"
 
 #include <cstring>

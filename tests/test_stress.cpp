@@ -637,10 +637,12 @@ TEST(StressLanes, SimultaneousFirstSendsRaceLaneCreation) {
 }
 
 TEST(StressLanes, TimedMachinesAllocateNoDataLanes) {
-  // Sim-backed and NetModel machines deliver regular traffic through the
-  // timed queue, so all-to-all traffic there must neither allocate nor
-  // register a data lane; the same traffic on a plain machine registers
-  // one lane per sender at every PE.
+  // Sim-backed machines deliver regular traffic through the timed queue,
+  // so all-to-all traffic there must neither allocate nor register a data
+  // lane; the same traffic on a plain machine registers one lane per
+  // sender at every PE.  A machine with only a NetModel is sim-backed too:
+  // its clock is virtual, so every remote message lands exactly alpha_us
+  // after its send at virtual 0 and every self-send at 0.
   constexpr int kNpes = 3;
   NetModel model;
   model.alpha_us = 5.0;
@@ -655,22 +657,31 @@ TEST(StressLanes, TimedMachinesAllocateNoDataLanes) {
     std::atomic<long> delivered{0};
     std::atomic<int> lane_tables{0};
     std::atomic<int> lanes{0};
-    RunConverse(*cfg, [&](int, int np) {
-      const int h = CmiRegisterHandler([&](void*) {
+    std::atomic<int> sim_backed{0};
+    std::atomic<int> off_clock{0};
+    RunConverse(*cfg, [&](int pe, int np) {
+      const int h = CmiRegisterHandler([&](void* msg) {
+        int src;
+        std::memcpy(&src, CmiMsgPayload(msg), sizeof(src));
+        const double want_s = src == CmiMyPe() ? 0.0 : model.alpha_us * 1e-6;
+        if (cfg == &timed[0] && CmiTimer() != want_s) ++off_clock;
         if (++delivered == static_cast<long>(np) * np) {
           ConverseBroadcastExit();
         }
       });
       for (int d = 0; d < np; ++d) {
-        void* m = CmiMakeMessage(h, nullptr, 0);
+        void* m = CmiMakeMessage(h, &pe, sizeof(pe));
         CmiSyncSendAndFree(static_cast<unsigned>(d), CmiMsgTotalSize(m), m);
       }
       CsdScheduler(-1);
       const detail::PeState& me = *detail::Cpv();
       if (me.lanes != nullptr || me.out_lanes != nullptr) ++lane_tables;
       lanes += me.nlanes.load();
+      if (me.machine->sim() != nullptr) ++sim_backed;
     });
     EXPECT_EQ(delivered.load(), static_cast<long>(kNpes) * kNpes);
+    EXPECT_EQ(sim_backed.load(), cfg == &plain ? 0 : kNpes);
+    EXPECT_EQ(off_clock.load(), 0);
     if (cfg == &plain) {
       EXPECT_EQ(lane_tables.load(), kNpes);
       EXPECT_EQ(lanes.load(), kNpes * kNpes);
