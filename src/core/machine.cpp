@@ -306,19 +306,36 @@ void* PopImmediate(PeState& pe) {
   return LanePopOne(pe, pe.immlane, pe.imm_batchq);
 }
 
-/// Consumer side: next regular message, draining batchq first, then one
-/// message per registered data lane, round robin from lane_cursor.
+/// Consumer side: next regular message, draining batchq first, then the
+/// data lanes in bursts: the lane at lane_cursor keeps the turn while it
+/// yields, for at most one ring's worth per visit (lane_burst), and the
+/// cursor then moves round robin; a lane whose burst ran out gets the turn
+/// back when every other lane is empty.  Serving one sender's backlog
+/// contiguously lets a credit-windowed sender's ack go out while the other
+/// lanes are served, rather than every window completing at the end of the
+/// same cycle and all senders waiting together.
 void* PopRegular(PeState& pe) {
   if (!pe.batchq.empty()) return PopBatch(pe.batchq);
   const int n = pe.nlanes.load(std::memory_order_acquire);
-  for (int k = 0; k < n; ++k) {
-    const int i = pe.lane_cursor < n ? pe.lane_cursor : 0;
-    pe.lane_cursor = i + 1;
+  int i = pe.lane_cursor;
+  // Only the first lane visited can have a spent burst (every move resets
+  // it); that lane is skipped now and revisited after the others.
+  bool revisit = false;
+  for (int k = 0; k < n + (revisit ? 1 : 0); ++k) {
     DataLane& lane = *pe.lanes[static_cast<std::size_t>(i)];
-    if (void* msg = LanePopOne(pe, lane, pe.batchq)) {
-      return msg;
+    if (pe.lane_burst < lane.ring.capacity()) {
+      if (void* msg = LanePopOne(pe, lane, pe.batchq)) {
+        ++pe.lane_burst;
+        pe.lane_cursor = i;
+        return msg;
+      }
+    } else {
+      revisit = true;
     }
+    pe.lane_burst = 0;
+    i = i + 1 < n ? i + 1 : 0;
   }
+  pe.lane_cursor = i;
   return nullptr;
 }
 

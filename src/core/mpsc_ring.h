@@ -72,6 +72,8 @@ class SpscRing {
     tail_cache_ = 0;
   }
 
+  std::size_t capacity() const { return mask_ + 1; }
+
   /// Producer side: false when the ring is full (caller takes the overflow
   /// slow path).
   bool TryPush(void* msg) {

@@ -1,8 +1,9 @@
 // Internal per-PE and per-machine state of the in-process Converse machine.
 // Not installed; runtime modules inside libconverse include it relative to
-// the src/ root.  Everything in here is owned either by exactly one PE
-// thread (consumer-side fields) or guarded by PeState::mu (the network
-// in-queue, the only cross-thread channel).
+// the src/ root.  A PeState field is owned by exactly one PE thread
+// (consumer-side fields), guarded by PeState::mu (lane registration, the
+// overflow deques, the sim's timed queue), or lock-free cross-thread: the
+// data and immediate lanes' rings and the `parked` wakeup flag.
 #pragma once
 
 #include <atomic>
@@ -173,7 +174,11 @@ struct PeState {
 
   // ---- consumer-only state (touched only by this PE's thread) ----
   // Written on every delivered message, so it starts a line of its own.
-  alignas(64) int lane_cursor = 0;  // round-robin position in lanes
+  // The data lane being served (index into lanes) and how many messages
+  // this visit has taken from its ring; PopRegular moves on round robin
+  // when the lane runs dry or the count reaches the ring's capacity.
+  alignas(64) int lane_cursor = 0;
+  std::uint32_t lane_burst = 0;
   std::deque<void*> batchq;      // regular messages staged in batch
   std::deque<void*> imm_batchq;  // immediate messages staged in batch
   std::deque<void*> heldq;       // buffered by CmiGetSpecificMsg
@@ -233,9 +238,10 @@ struct PeState {
 };
 
 // Senders must never share a cache line with the consumer's per-message
-// writes: the round-robin cursor on the `parked` line costs about a quarter
-// of the 3 -> 1 fan-in rate.  offsetof on PeState is conditionally
-// supported (it is not standard-layout); GCC and Clang give real offsets.
+// writes: the lane cursor and burst count on the `parked` line would cost
+// about a quarter of the 3 -> 1 fan-in rate.  offsetof on PeState is
+// conditionally supported (it is not standard-layout); GCC and Clang give
+// real offsets.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Winvalid-offsetof"
 constexpr std::size_t kLaneLine = 64;
@@ -251,6 +257,8 @@ static_assert(offsetof(PeState, mu) % kLaneLine == 0 &&
 static_assert(offsetof(PeState, lane_cursor) % kLaneLine == 0 &&
               LineOf(offsetof(PeState, lane_cursor)) >
                   LineOf(offsetof(PeState, net_seq)));
+static_assert(LineOf(offsetof(PeState, lane_burst)) ==
+              LineOf(offsetof(PeState, lane_cursor)));
 #pragma GCC diagnostic pop
 
 class Machine {

@@ -636,6 +636,60 @@ TEST(StressLanes, SimultaneousFirstSendsRaceLaneCreation) {
   }
 }
 
+TEST(StressLanes, BurstServiceDrainsOneLaneAtATime) {
+  // PEs 1..3 each fill their lane into PE 0 with exactly one ring's worth,
+  // and PE 0 starts consuming only once all three rings are full (none
+  // spilled).  The consumer serves a lane for up to a ring's worth before
+  // moving to the next, so each sender's messages must arrive as one
+  // contiguous run, in send order.
+  constexpr int kNpes = 4;
+  constexpr int kRing = 64;
+  MachineConfig cfg;
+  cfg.npes = kNpes;
+  cfg.ring_capacity = kRing;
+  cfg.aggregate_sends = 0;
+  std::atomic<int> filled{0};
+  std::atomic<int> spilled{-1};
+  std::vector<LaneWire> order;  // PE 0's handler only
+  RunConverse(cfg, [&](int pe, int np) {
+    const int h = CmiRegisterHandler([&](void* msg) {
+      LaneWire w;
+      std::memcpy(&w, CmiMsgPayload(msg), sizeof(w));
+      order.push_back(w);
+      if (order.size() == static_cast<std::size_t>(np - 1) * kRing) {
+        ConverseBroadcastExit();
+      }
+    });
+    if (pe != 0) {
+      for (int i = 0; i < kRing; ++i) {
+        LaneWire w{pe, i};
+        void* m = CmiMakeMessage(h, &w, sizeof(w));
+        CmiSyncSendAndFree(0, CmiMsgTotalSize(m), m);
+      }
+      ++filled;
+    } else {
+      while (filled.load() < np - 1) std::this_thread::yield();
+      int n = 0;
+      for (int s = 1; s < np; ++s) n += LaneSpilled(s) != 0 ? 1 : 0;
+      spilled = n;
+    }
+    CsdScheduler(-1);
+  });
+  ASSERT_EQ(spilled.load(), 0);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kNpes - 1) * kRing);
+  int runs = 0;
+  int fifo_breaks = 0;
+  std::vector<int> last(kNpes, -1);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const LaneWire& w = order[k];
+    if (k == 0 || w.sender != order[k - 1].sender) ++runs;
+    if (w.seq != last[w.sender] + 1) ++fifo_breaks;
+    last[w.sender] = w.seq;
+  }
+  EXPECT_EQ(runs, kNpes - 1) << "senders interleaved";
+  EXPECT_EQ(fifo_breaks, 0);
+}
+
 TEST(StressLanes, TimedMachinesAllocateNoDataLanes) {
   // Sim-backed machines deliver regular traffic through the timed queue,
   // so all-to-all traffic there must neither allocate nor register a data
