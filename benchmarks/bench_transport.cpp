@@ -22,7 +22,7 @@
 // 64 KiB writes.  That is exactly the memcpy work the kernel performs for
 // a loopback wire (user->kernel on write, kernel->user on read) under the
 // same core budget, so transport/loopback isolates what OUR layer adds
-// (framing, the receive-side message copy, acks) rather than comparing a
+// (framing, dispatch, message allocation, acks) rather than comparing a
 // scheduled two-process pipeline against one cache-hot memcpy loop.  The
 // single-copy memcpy number is still printed as a reference point.
 //

@@ -4,11 +4,15 @@
 //   tools/converserun -np 2 examples/transport_smoke
 //   tools/converserun -np 4 -ppn 2 examples/transport_smoke
 //
-// Three phases, each with a hard pass/fail count (any mismatch exits
+// Four phases, each with a hard pass/fail count (any mismatch exits
 // nonzero through the final verification broadcast):
 //
 //   1. pingpong  — every PE ping-pongs a counted token with PE 0
 //                  (unicast both directions across the wire);
+//   1b. bulk     — every PE streams back-to-back large messages (the
+//                  4 KiB direct-receive edge, 64 KiB, and past the 64 KiB
+//                  pool class) to the next PE, which checks pattern and
+//                  order (the socket receive path's direct body fills);
 //   2. broadcast — PE 0 broadcasts small and share-threshold-sized
 //                  payloads; every PE checks the pattern and replies
 //                  (exercises node-cast records + in-node fan-out on both
@@ -21,6 +25,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "converse/cld.h"
 #include "converse/converse.h"
@@ -34,6 +39,10 @@ constexpr int kSmallBcasts = 32;  // small broadcast payloads
 constexpr int kBigBcasts = 4;     // share-threshold-sized payloads
 constexpr std::size_t kBigBytes = 8192;
 constexpr int kSeeds = 256;       // kSteal seeds spawned on PE 0
+constexpr std::size_t kBulkSizes[] = {4095,  4096,  4097,  65536,
+                                      65536, 65536, 65536, 204800};
+constexpr int kBulkRounds = 4;    // passes over kBulkSizes
+constexpr int kBulkMsgs = kBulkRounds * static_cast<int>(std::size(kBulkSizes));
 
 std::atomic<std::uint64_t> g_seeds_run{0};
 std::atomic<int> g_failures{0};
@@ -43,6 +52,8 @@ struct Counts {
   int bcasts = 0;
   int bcast_acks = 0;  // PE 0 only
   int seed_acks = 0;   // PE 0 only
+  int bulk_seen = 0;
+  int bulk_acks = 0;   // PE 0 only
 };
 
 void FillPattern(void* payload, std::size_t n, unsigned seed) {
@@ -79,10 +90,11 @@ int main() {
     // Completion is tracked entirely by messages converging on PE 0 (a
     // kSteal seed may take root on any node, so only message acks can
     // prove global completion): n-1 pingpong-done acks + n acks per
-    // broadcast + one ack per seed, then PE 0 fires the exit broadcast.
+    // broadcast + one ack per seed + one per bulk receiver, then PE 0
+    // fires the exit broadcast.
     const int want_bcasts = kSmallBcasts + kBigBcasts;
     auto maybe_finish = [n, want_bcasts] {
-      if (c.pongs == (n > 1 ? n - 1 : 0) &&
+      if (c.pongs == (n > 1 ? n - 1 : 0) && c.bulk_acks == n &&
           c.bcast_acks == want_bcasts * n && c.seed_acks == kSeeds &&
           c.bcasts == want_bcasts) {
         ConverseBroadcastExit();
@@ -91,7 +103,7 @@ int main() {
 
     // ---- handlers (registered identically everywhere) ----
     int h_pong = -1, h_ping = -1, h_bcast = -1, h_back = -1, h_seed = -1,
-        h_sdone = -1, h_ppdone = -1;
+        h_sdone = -1, h_ppdone = -1, h_bulk = -1, h_bdone = -1;
 
     // PE 0: a peer finished its kPings round trips.
     h_ppdone = CmiRegisterHandler([maybe_finish](void*) {
@@ -165,11 +177,49 @@ int main() {
       CmiFree(msg);
     });
 
+    // PE 0: a PE received its whole bulk stream.
+    h_bdone = CmiRegisterHandler([maybe_finish](void*) {
+      ++c.bulk_acks;
+      maybe_finish();
+    });
+
+    // Everyone: check one bulk message's order and pattern; ack PE 0 after
+    // the last.
+    h_bulk = CmiRegisterHandler([h_bdone](void* msg) {
+      unsigned seq;
+      std::memcpy(&seq, CmiMsgPayload(msg), sizeof(seq));
+      const std::size_t size =
+          CmiMsgPayloadSize(msg) - static_cast<std::size_t>(sizeof(seq));
+      if (seq != static_cast<unsigned>(c.bulk_seen) ||
+          !CheckPattern(static_cast<unsigned char*>(CmiMsgPayload(msg)) +
+                            sizeof(seq),
+                        size, seq)) {
+        g_failures.fetch_add(1);
+      }
+      if (++c.bulk_seen == kBulkMsgs) {
+        void* m = CmiMakeMessage(h_bdone, nullptr, 0);
+        CmiSyncSendAndFree(0, CmiMsgTotalSize(m), m);
+      }
+    });
+
     // ---- phase 1: pingpong (each non-root PE against PE 0) ----
     if (pe != 0) {
       const int zero = 0;
       void* m = CmiMakeMessage(h_ping, &zero, sizeof(zero));
       CmiSyncSendAndFree(0, CmiMsgTotalSize(m), m);
+    }
+
+    // ---- phase 1b: bulk stream to the next PE (crosses the wire) ----
+    for (int i = 0; i < kBulkMsgs; ++i) {
+      const std::size_t total =
+          kBulkSizes[static_cast<std::size_t>(i) % std::size(kBulkSizes)];
+      const unsigned seq = static_cast<unsigned>(i);
+      void* m = CmiAlloc(total);
+      CmiSetHandler(m, h_bulk);
+      std::memcpy(CmiMsgPayload(m), &seq, sizeof(seq));
+      FillPattern(static_cast<unsigned char*>(CmiMsgPayload(m)) + sizeof(seq),
+                  CmiMsgPayloadSize(m) - sizeof(seq), seq);
+      CmiSyncSendAndFree((pe + 1) % n, CmiMsgTotalSize(m), m);
     }
 
     // ---- phases 2+3 driven from PE 0 ----

@@ -251,14 +251,6 @@ DataLane& LaneFor(PeState& dst, DataLane*& cached) {
   return *cached;
 }
 
-/// Producer side: push `msg` onto `dst`'s data lane from PE `src`'s own
-/// thread.
-void DataPushFrom(PeState& src, PeState& dst, void* msg) {
-  const int local = dst.mype - src.machine->pe_begin();
-  LanePush(dst, LaneFor(dst, src.out_lanes[static_cast<std::size_t>(local)]),
-           msg);
-}
-
 /// Producer side: wake `dst` if its thread is parked in WaitForNet.  Must
 /// run after the message is published (ring tail store/CAS or overflow
 /// count bump — all seq_cst, pairing with the consumer's parked store).
@@ -267,6 +259,21 @@ void NotifyIfParked(PeState& dst) {
     std::scoped_lock lk(dst.mu);
     dst.cv.notify_one();
   }
+}
+
+/// Deliver a regular message from PE `src`'s own thread to `dst`.  A
+/// self-send needs no lane (and no wakeup): it joins `src`'s private
+/// selfq, which PopRegular serves in the same rotation as the lanes.
+void PushRegularFrom(PeState& src, PeState& dst, void* msg) {
+  if (&src == &dst) {
+    assert(tls_pe == &src && "a self-send runs on the PE's own thread");
+    src.selfq.push_back(msg);
+    return;
+  }
+  const int local = dst.mype - src.machine->pe_begin();
+  LanePush(dst, LaneFor(dst, src.out_lanes[static_cast<std::size_t>(local)]),
+           msg);
+  NotifyIfParked(dst);
 }
 
 void* PopBatch(std::deque<void*>& batchq) {
@@ -307,24 +314,31 @@ void* PopImmediate(PeState& pe) {
 }
 
 /// Consumer side: next regular message, draining batchq first, then the
-/// data lanes in bursts: the lane at lane_cursor keeps the turn while it
-/// yields, for at most one ring's worth per visit (lane_burst), and the
-/// cursor then moves round robin; a lane whose burst ran out gets the turn
-/// back when every other lane is empty.  Serving one sender's backlog
-/// contiguously lets a credit-windowed sender's ack go out while the other
-/// lanes are served, rather than every window completing at the end of the
-/// same cycle and all senders waiting together.
+/// data lanes and selfq (the last slot of the rotation) in bursts: the
+/// slot at lane_cursor keeps the turn while it yields, for at most one
+/// ring's worth per visit (lane_burst), and the cursor then moves round
+/// robin; a slot whose burst ran out gets the turn back when every other
+/// slot is empty.  Serving one sender's backlog contiguously lets a
+/// credit-windowed sender's ack go out while the other lanes are served,
+/// rather than every window completing at the end of the same cycle and
+/// all senders waiting together.
 void* PopRegular(PeState& pe) {
   if (!pe.batchq.empty()) return PopBatch(pe.batchq);
   const int n = pe.nlanes.load(std::memory_order_acquire);
   int i = pe.lane_cursor;
-  // Only the first lane visited can have a spent burst (every move resets
-  // it); that lane is skipped now and revisited after the others.
+  // Only the first slot visited can have a spent burst (every move resets
+  // it); that slot is skipped now and revisited after the others.
   bool revisit = false;
-  for (int k = 0; k < n + (revisit ? 1 : 0); ++k) {
-    DataLane& lane = *pe.lanes[static_cast<std::size_t>(i)];
-    if (pe.lane_burst < lane.ring.capacity()) {
-      if (void* msg = LanePopOne(pe, lane, pe.batchq)) {
+  for (int k = 0; k < n + 1 + (revisit ? 1 : 0); ++k) {
+    if (pe.lane_burst < pe.lane_burst_max) {
+      void* msg = nullptr;
+      if (i < n) {
+        msg = LanePopOne(pe, *pe.lanes[static_cast<std::size_t>(i)],
+                         pe.batchq);
+      } else if (!pe.selfq.empty()) {
+        msg = PopBatch(pe.selfq);
+      }
+      if (msg != nullptr) {
         ++pe.lane_burst;
         pe.lane_cursor = i;
         return msg;
@@ -333,7 +347,7 @@ void* PopRegular(PeState& pe) {
       revisit = true;
     }
     pe.lane_burst = 0;
-    i = i + 1 < n ? i + 1 : 0;
+    i = i < n ? i + 1 : 0;
   }
   pe.lane_cursor = i;
   return nullptr;
@@ -354,7 +368,7 @@ bool HasImmediate(const PeState& pe) {
 
 /// Consumer side, lane (untimed) machines: a regular message is available.
 bool HasRegular(const PeState& pe) {
-  if (!pe.batchq.empty()) return true;
+  if (!pe.batchq.empty() || !pe.selfq.empty()) return true;
   const int n = pe.nlanes.load(std::memory_order_seq_cst);
   for (int i = 0; i < n; ++i) {
     if (LaneHasItems(*pe.lanes[static_cast<std::size_t>(i)])) return true;
@@ -445,9 +459,7 @@ void SendSharedBlockFrom(PeState& pe, int dest_pe, void* block) {
     sim->Send(pe, dest_pe, block, 0.0);
     return;
   }
-  PeState& dst = m.Pe(dest_pe);
-  DataPushFrom(pe, dst, block);
-  NotifyIfParked(dst);
+  PushRegularFrom(pe, m.Pe(dest_pe), block);
 }
 
 namespace {
@@ -517,9 +529,7 @@ void SendOwnedFromImpl(PeState& pe, int dest_pe, void* msg, double delay_us,
     sim->Send(pe, dest_pe, msg, delay_us);
     return;
   }
-  PeState& dst = m.Pe(dest_pe);
-  DataPushFrom(pe, dst, msg);
-  NotifyIfParked(dst);
+  PushRegularFrom(pe, m.Pe(dest_pe), msg);
 }
 
 }  // namespace
@@ -798,11 +808,12 @@ Machine::Machine(const MachineConfig& config)
   for (int i = 0; i < pe_begin_; ++i) seeder.Next();
   const std::size_t ring_cap = static_cast<std::size_t>(
       config_.ring_capacity < 1 ? 1 : config_.ring_capacity);
-  // Data-lane producer slots: every local PE, plus the comm thread when a
-  // wire backend may deliver into this process.  Sim-backed machines
-  // deliver regular traffic through timedq and get no lane table at all
-  // (sim() is not valid yet: sim_ is created below).
-  const int lane_slots = local_npes() + (multi_node() ? 1 : 0);
+  // Data-lane producer slots: every other local PE (self-sends use selfq),
+  // plus the comm thread when a wire backend may deliver into this
+  // process.  Sim-backed machines deliver regular traffic through timedq
+  // and get no lane table at all (sim() is not valid yet: sim_ is created
+  // below).
+  const int lane_slots = local_npes() - 1 + (multi_node() ? 1 : 0);
   const bool lanes = config_.sim == nullptr;
   for (int i = pe_begin_; i < pe_end_; ++i) {
     auto pe = std::make_unique<PeState>();
@@ -818,6 +829,7 @@ Machine::Machine(const MachineConfig& config)
           std::make_unique<DataLane*[]>(static_cast<std::size_t>(local_npes()));
     }
     pe->immlane.ring.Init(ring_cap);
+    pe->lane_burst_max = static_cast<std::uint32_t>(RingSlots(ring_cap));
     pe->pool = MsgPoolEnabled() ? MsgPoolForSlot(i - pe_begin_) : nullptr;
     CstInitPe(*pe);
     pes_.push_back(std::move(pe));
@@ -873,7 +885,7 @@ void Machine::DrainQueues(PeState& pe) {
     reclaim(*pe.lanes[static_cast<std::size_t>(i)]);
   }
   reclaim(pe.immlane);
-  for (std::deque<void*>* q : {&pe.batchq, &pe.imm_batchq}) {
+  for (std::deque<void*>* q : {&pe.batchq, &pe.selfq, &pe.imm_batchq}) {
     while (!q->empty()) {
       detail::check::OnReclaim(q->front());
       CmiFree(q->front());

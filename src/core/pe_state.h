@@ -69,9 +69,10 @@ struct LaneOverflow {
 
 /// One regular (data) lane: the bounded SPSC ring of one producer ->
 /// consumer pair plus its sticky overflow.  A PE's producers are the
-/// node's local PEs and, on multi-node machines, the transport comm
-/// thread.  A lane is allocated on the producer's first send, registered
-/// with the consumer under PeState::mu and cached on the producer's side
+/// node's other local PEs and, on multi-node machines, the transport comm
+/// thread; a PE's sends to itself skip the lanes (PeState::selfq).  A
+/// lane is allocated on the producer's first send, registered with the
+/// consumer under PeState::mu and cached on the producer's side
 /// (PeState::out_lanes, or Machine::wire_lane for the comm thread), so
 /// memory and the consumer's poll cost grow with the pairs that actually
 /// talk.
@@ -174,16 +175,20 @@ struct PeState {
 
   // ---- consumer-only state (touched only by this PE's thread) ----
   // Written on every delivered message, so it starts a line of its own.
-  // The data lane being served (index into lanes) and how many messages
-  // this visit has taken from its ring; PopRegular moves on round robin
-  // when the lane runs dry or the count reaches the ring's capacity.
+  // The slot being served (an index into lanes, or nlanes for selfq) and
+  // how many messages this visit has taken from it; PopRegular moves on
+  // round robin when the slot runs dry or the count reaches
+  // lane_burst_max, one ring's capacity.
   alignas(64) int lane_cursor = 0;
   std::uint32_t lane_burst = 0;
+  std::uint32_t lane_burst_max = 1;
   std::deque<void*> batchq;      // regular messages staged in batch
+  std::deque<void*> selfq;       // this PE's sends to itself, in order
   std::deque<void*> imm_batchq;  // immediate messages staged in batch
   std::deque<void*> heldq;       // buffered by CmiGetSpecificMsg
-  // This PE's own lanes into each local PE (by local index), filled on
-  // the first send to it; null entries until then.  Null on timed machines.
+  // This PE's own lanes into each other local PE (by local index), filled
+  // on the first send to it; null entries until then (the own index stays
+  // null).  Null on timed machines.
   std::unique_ptr<DataLane*[]> out_lanes;
   CqsQueue schedq;
   std::vector<Handler> handlers;
@@ -258,7 +263,9 @@ static_assert(offsetof(PeState, lane_cursor) % kLaneLine == 0 &&
               LineOf(offsetof(PeState, lane_cursor)) >
                   LineOf(offsetof(PeState, net_seq)));
 static_assert(LineOf(offsetof(PeState, lane_burst)) ==
-              LineOf(offsetof(PeState, lane_cursor)));
+                  LineOf(offsetof(PeState, lane_cursor)) &&
+              LineOf(offsetof(PeState, lane_burst_max)) ==
+                  LineOf(offsetof(PeState, lane_cursor)));
 #pragma GCC diagnostic pop
 
 class Machine {

@@ -9,9 +9,17 @@
 // engine mutex and poke a wake pipe; the comm thread gathers queued
 // records with sendmsg (many records per syscall — aggregation frames are
 // the wire unit, so one syscall often moves hundreds of logical
-// messages), reads 64 KiB chunks, and injects rebuilt messages straight
+// messages), reads the peer streams, and injects rebuilt messages straight
 // onto the destination PE's delivery lane (DeliverFromWire) or expands
 // node-cast records (CstNodeCastExpand).
+//
+// Receive rule: small records are read in 256 KiB chunks and parsed in
+// place; a message body of at least kGatherMinBytes is read() straight
+// into its final CmiAlloc buffer.  After such a body the stream sits at a
+// record boundary, so the next header is read on its own (riding the same
+// readv as the body's last bytes) and a following large body lands
+// directly too.  The one staging copy left is a large body that a chunk
+// read swallowed after a small record: its in-chunk bytes are copied once.
 //
 // Rendezvous: node i listens at its well-known address and CONNECTS to
 // every j < i (retry with backoff until wire_timeout_ms), then sends a
@@ -36,6 +44,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -95,12 +104,22 @@ struct Peer {
   std::uint32_t rx_len = 0;  // body bytes expected
   std::uint32_t rx_off = 0;  // body bytes landed so far
   WireRec rx_rec;
+  // Header-first receive: set at a record boundary after a large record;
+  // the next header is read into rx_hdr on its own instead of a chunk.
+  // Outside header-first mode rx_hdr_have is 0, or 16 when the header
+  // read alone announced a small record: those bytes start the next chunk.
+  bool rx_hdr_first = false;
+  std::uint32_t rx_hdr_have = 0;
+  unsigned char rx_hdr[kWireRecBytes] = {};
 };
 
-/// An accepted connection whose hello has not arrived yet.
+/// An accepted connection whose hello has not arrived yet.  Only the
+/// 16-byte hello is read here; the records behind it wait in the socket
+/// for the promoted peer's own reads.
 struct Pending {
   int fd;
-  WireParser parser;
+  std::uint32_t have = 0;
+  unsigned char hello[kWireRecBytes] = {};
 };
 
 /// Bodies at least this large skip the outbox staging memcpy and are
@@ -543,16 +562,15 @@ class SocketEngine : public Transport {
         setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       }
       WidenSocketBuffers(fd);
-      pending_.push_back(Pending{fd, WireParser{}});
+      pending_.push_back(Pending{fd});
     }
   }
 
   /// Read an unidentified inbound stream until its hello names the peer,
-  /// then promote it (any pipelined records parse right away).
+  /// then promote it; the next poll picks up whatever follows the hello.
   void ReadPending(std::size_t k) {
     Pending& c = pending_[k];
-    unsigned char chunk[4096];
-    const ssize_t n = read(c.fd, chunk, sizeof(chunk));
+    const ssize_t n = read(c.fd, c.hello + c.have, kWireRecBytes - c.have);
     if (n <= 0) {
       if (n < 0 && (errno == EAGAIN || errno == EINTR)) return;
       close(c.fd);
@@ -560,17 +578,10 @@ class SocketEngine : public Transport {
       return;
     }
     syscalls_.fetch_add(1, std::memory_order_relaxed);
-    c.parser.Append(chunk, static_cast<std::size_t>(n));
+    c.have += static_cast<std::uint32_t>(n);
+    if (c.have < kWireRecBytes) return;  // hello still partial
     WireRec rec;
-    const unsigned char* body;
-    const int r = c.parser.Next(&rec, &body);
-    if (r < 0) {
-      close(c.fd);
-      c.fd = -1;
-      return;
-    }
-    if (r == 0) return;  // hello still partial
-    if (rec.kind != kWireHello ||
+    if (!WireDecode(c.hello, &rec) || rec.kind != kWireHello ||
         rec.src_node >= peers_.size() ||
         static_cast<int>(rec.src_node) == mynode_) {
       close(c.fd);
@@ -582,107 +593,154 @@ class SocketEngine : public Transport {
       // Stale stream superseded by this reconnect.
       close(p.fd);
     }
-    if (p.rx_msg != nullptr) {
-      // A direct fill died with the old stream; the sender retransmits
-      // that record from its start.
-      CmiFree(p.rx_msg);
-      p.rx_msg = nullptr;
-      p.rx_len = 0;
-      p.rx_off = 0;
-    }
+    DropPartialRecord(p);
     p.fd = c.fd;
     p.hello_rx = true;
     p.goodbye_rx = false;
     p.down_since_ns = -1;
-    p.parser = std::move(c.parser);
     c.fd = -1;
-    DrainParser(static_cast<int>(rec.src_node), p);
+  }
+
+  /// One readv on a peer stream, retrying EINTR.  Returns the bytes read,
+  /// or -1 when the caller should stop reading: EAGAIN, or the stream went
+  /// down (and was torn down here).
+  ssize_t ReadStream(int node, Peer& p, iovec* iov, int cnt) {
+    for (;;) {
+      const ssize_t n = readv(p.fd, iov, cnt);
+      if (n > 0) {
+        syscalls_.fetch_add(1, std::memory_order_relaxed);
+        return n;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n == 0 || errno != EAGAIN) OnStreamDown(node, p);
+      return -1;
+    }
   }
 
   void ReadPeer(int node, Peer& p) {
     for (;;) {
-      // Continue a direct body fill: the rest of a large message reads
-      // straight into its final allocation, no staging buffer at all.
       if (p.rx_msg != nullptr) {
-        const ssize_t n =
-            read(p.fd, static_cast<unsigned char*>(p.rx_msg) + p.rx_off,
-                 p.rx_len - p.rx_off);
-        if (n < 0) {
-          if (errno == EAGAIN) return;
-          if (errno == EINTR) continue;
-          OnStreamDown(node, p);
-          return;
+        // Direct fill: the rest of a large body reads straight into its
+        // final allocation, and the same readv picks up the next header.
+        iovec iov[2];
+        iov[0].iov_base = static_cast<unsigned char*>(p.rx_msg) + p.rx_off;
+        iov[0].iov_len = p.rx_len - p.rx_off;
+        iov[1].iov_base = p.rx_hdr;
+        iov[1].iov_len = kWireRecBytes;
+        const ssize_t n = ReadStream(node, p, iov, 2);
+        if (n < 0) return;
+        const std::size_t body =
+            std::min(static_cast<std::size_t>(n), iov[0].iov_len);
+        p.rx_off += static_cast<std::uint32_t>(body);
+        p.rx_hdr_have = static_cast<std::uint32_t>(n - body);
+        if (p.rx_off == p.rx_len) FinishDirectFill(p);
+        continue;
+      }
+
+      if (p.rx_hdr_first) {
+        if (p.rx_hdr_have < kWireRecBytes) {
+          iovec iov{p.rx_hdr + p.rx_hdr_have, kWireRecBytes - p.rx_hdr_have};
+          const ssize_t n = ReadStream(node, p, &iov, 1);
+          if (n < 0) return;
+          p.rx_hdr_have += static_cast<std::uint32_t>(n);
+          if (p.rx_hdr_have < kWireRecBytes) continue;
         }
-        if (n == 0) {
-          OnStreamDown(node, p);
-          return;
-        }
-        syscalls_.fetch_add(1, std::memory_order_relaxed);
-        p.rx_off += static_cast<std::uint32_t>(n);
-        if (p.rx_off < p.rx_len) continue;
-        FinishDirectFill(p);
+        if (!TakeHeader(node, p)) return;
         continue;
       }
 
       unsigned char chunk[262144];
-      const ssize_t n = read(p.fd, chunk, sizeof(chunk));
-      if (n < 0) {
-        if (errno == EAGAIN) return;
-        if (errno == EINTR) continue;
-        OnStreamDown(node, p);
+      const std::size_t carry = p.rx_hdr_have;
+      std::memcpy(chunk, p.rx_hdr, carry);
+      iovec iov{chunk + carry, sizeof(chunk) - carry};
+      const ssize_t n = ReadStream(node, p, &iov, 1);
+      if (n < 0) return;
+      p.rx_hdr_have = 0;
+      if (!FeedBytes(node, p, chunk, carry + static_cast<std::size_t>(n))) {
         return;
       }
-      if (n == 0) {
-        OnStreamDown(node, p);
-        return;
-      }
-      syscalls_.fetch_add(1, std::memory_order_relaxed);
-      if (!FeedBytes(node, p, chunk, static_cast<std::size_t>(n))) return;
-      if (n < static_cast<ssize_t>(sizeof(chunk)) && p.rx_msg == nullptr) {
+      if (static_cast<std::size_t>(n) < iov.iov_len && p.rx_msg == nullptr) {
         return;
       }
     }
   }
 
-  /// Route `n` fresh stream bytes.  When the parser holds no partial
-  /// record the records are parsed and dispatched IN the read chunk (the
-  /// common case — no staging copy); a large message body that overruns
-  /// the chunk arms the direct fill.  Only a partial tail ever lands in
-  /// the parser.  False when the stream was torn down.
+  /// Message records whose body is read straight into its final buffer.
+  bool LandsDirect(const WireRec& rec) const {
+    return (rec.kind == kWireMessage || rec.kind == kWireImmediate) &&
+           rec.length >= kGatherMinBytes && machine_.IsLocalPe(rec.dest_pe);
+  }
+
+  void ArmDirectFill(Peer& p, const WireRec& rec) {
+    p.rx_msg = CmiAlloc(rec.length);
+    p.rx_rec = rec;
+    p.rx_len = rec.length;
+    p.rx_off = 0;
+  }
+
+  /// Act on a header read on its own (header-first mode): a large message
+  /// arms the next direct fill and an empty record is dispatched, both
+  /// staying in header-first mode; any other record's header is carried
+  /// into the next chunk read.  False when the stream was torn down.
+  bool TakeHeader(int node, Peer& p) {
+    WireRec rec;
+    if (!WireDecode(p.rx_hdr, &rec)) return Malformed(node, p);
+    if (LandsDirect(rec)) {
+      p.rx_hdr_have = 0;
+      ArmDirectFill(p, rec);
+    } else if (rec.length == 0) {
+      p.rx_hdr_have = 0;
+      Dispatch(p, rec, p.rx_hdr);  // reads no body bytes
+    } else {
+      p.rx_hdr_first = false;
+    }
+    return true;
+  }
+
+  /// Route `n` fresh stream bytes (a chunk read).  The parser's partial
+  /// record, if any, is completed from the front; the remaining records
+  /// are parsed and dispatched IN the chunk.  A large message body that
+  /// overruns the chunk arms the direct fill, a partial header switches
+  /// to header-first mode, and only a small partial tail lands in the
+  /// parser.  False when the stream was torn down.
   bool FeedBytes(int node, Peer& p, const unsigned char* data,
                  std::size_t n) {
     std::size_t off = 0;
-    if (p.parser.pending() == 0) {
-      while (n - off >= kWireRecBytes) {
-        WireRec rec;
-        if (!WireDecode(data + off, &rec)) {
-          Fail("malformed record from node " + std::to_string(node));
-          close(p.fd);
-          p.fd = -1;
-          return false;
-        }
-        const std::size_t avail = n - off - kWireRecBytes;
-        if ((rec.kind == kWireMessage || rec.kind == kWireImmediate) &&
-            rec.length >= kGatherMinBytes &&
-            machine_.IsLocalPe(rec.dest_pe) && avail < rec.length) {
-          // Large body split across reads: land what we have and read
-          // the rest straight into the message.
-          p.rx_msg = CmiAlloc(rec.length);
-          p.rx_rec = rec;
-          p.rx_len = rec.length;
-          p.rx_off = static_cast<std::uint32_t>(avail);
-          std::memcpy(p.rx_msg, data + off + kWireRecBytes, avail);
-          return true;
-        }
-        if (avail < rec.length) break;  // small partial tail: buffer it
-        Dispatch(p, rec, data + off + kWireRecBytes);
-        off += kWireRecBytes + rec.length;
-      }
-      if (off < n) p.parser.Append(data + off, n - off);
-      return true;
+    while (p.parser.pending() > 0 && off < n) {
+      const std::size_t take = std::min(p.parser.missing(), n - off);
+      p.parser.Append(data + off, take);
+      off += take;
+      if (!DrainParser(node, p)) return false;
     }
-    p.parser.Append(data, n);
-    return DrainParser(node, p);
+    bool after_large = false;
+    while (n - off >= kWireRecBytes) {
+      WireRec rec;
+      if (!WireDecode(data + off, &rec)) return Malformed(node, p);
+      const unsigned char* body = data + off + kWireRecBytes;
+      const std::size_t avail = n - off - kWireRecBytes;
+      after_large = LandsDirect(rec);
+      if (after_large && avail < rec.length) {
+        // Large body split across reads: land what we have and read the
+        // rest straight into the message.
+        ArmDirectFill(p, rec);
+        std::memcpy(p.rx_msg, body, avail);
+        p.rx_off = static_cast<std::uint32_t>(avail);
+        return true;
+      }
+      if (avail < rec.length) break;  // small partial tail: buffer it
+      Dispatch(p, rec, body);
+      off += kWireRecBytes + rec.length;
+    }
+    if (n - off >= kWireRecBytes) {
+      p.parser.Append(data + off, n - off);
+    } else if (off < n || after_large) {
+      // A partial header, or a boundary right after a large record: read
+      // the next header on its own.
+      p.rx_hdr_have = static_cast<std::uint32_t>(n - off);
+      std::memcpy(p.rx_hdr, data + off, n - off);
+      p.rx_hdr_first = true;
+    }
+    return true;
   }
 
   void FinishDirectFill(Peer& p) {
@@ -691,6 +749,7 @@ class SocketEngine : public Transport {
     p.rx_msg = nullptr;
     p.rx_len = 0;
     p.rx_off = 0;
+    p.rx_hdr_first = true;  // the stream sits at a record boundary
     MsgPoolRestampFlag(msg);  // the wire image carried the sender's bit
     bytes_received_.fetch_add(rec.length, std::memory_order_relaxed);
     DeliverFromWire(machine_, rec.dest_pe, msg,
@@ -705,14 +764,18 @@ class SocketEngine : public Transport {
       const unsigned char* body;
       const int r = p.parser.Next(&rec, &body);
       if (r == 0) return true;
-      if (r < 0) {
-        Fail("malformed record from node " + std::to_string(node));
-        close(p.fd);
-        p.fd = -1;
-        return false;
-      }
+      if (r < 0) return Malformed(node, p);
       Dispatch(p, rec, body);
     }
+  }
+
+  /// A corrupt header: there is no resynchronizing a framed stream.
+  /// Always false, for the callers' teardown returns.
+  bool Malformed(int node, Peer& p) {
+    Fail("malformed record from node " + std::to_string(node));
+    close(p.fd);
+    p.fd = -1;
+    return false;
   }
 
   /// Deliver one complete record (body fully materialized at `body`).
@@ -744,16 +807,22 @@ class SocketEngine : public Transport {
     }
   }
 
+  /// Forget a partly received record: it died with its stream, and the
+  /// sender retransmits it from its start on the next one.
+  void DropPartialRecord(Peer& p) {
+    p.parser.Reset();
+    if (p.rx_msg != nullptr) CmiFree(p.rx_msg);
+    p.rx_msg = nullptr;
+    p.rx_len = 0;
+    p.rx_off = 0;
+    p.rx_hdr_first = false;
+    p.rx_hdr_have = 0;
+  }
+
   void OnStreamDown(int node, Peer& p) {
     close(p.fd);
     p.fd = -1;
-    p.parser.Reset();  // a partial record died with the stream
-    if (p.rx_msg != nullptr) {  // ...including a half-filled direct body
-      CmiFree(p.rx_msg);
-      p.rx_msg = nullptr;
-      p.rx_len = 0;
-      p.rx_off = 0;
-    }
+    DropPartialRecord(p);
     if (p.goodbye_rx || ShuttingDown()) return;  // clean end
     p.down_since_ns = util::NowNs();
     p.next_dial_ns = p.down_since_ns;
@@ -880,10 +949,7 @@ class SocketEngine : public Transport {
         }
       }
       p.outbox.clear();
-      if (p.rx_msg != nullptr) {
-        CmiFree(p.rx_msg);
-        p.rx_msg = nullptr;
-      }
+      DropPartialRecord(p);
     }
     for (Pending& c : pending_) {
       if (c.fd >= 0) close(c.fd);

@@ -47,6 +47,16 @@ void WireParser::Append(const void* data, std::size_t n) {
   buf_.insert(buf_.end(), p, p + n);
 }
 
+std::size_t WireParser::missing() const {
+  if (pending() < kWireRecBytes) {
+    return pending() == 0 ? 0 : kWireRecBytes - pending();
+  }
+  WireRec rec;
+  std::memcpy(&rec, buf_.data() + off_, kWireRecBytes);
+  const std::size_t want = kWireRecBytes + rec.length;
+  return want > pending() ? want - pending() : 0;
+}
+
 int WireParser::Next(WireRec* rec, const unsigned char** body) {
   if (pending() < kWireRecBytes) return 0;
   if (!WireDecode(buf_.data() + off_, rec)) return -1;

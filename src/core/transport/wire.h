@@ -73,6 +73,10 @@ class WireParser {
   /// Bytes buffered but not yet returned by Next.
   std::size_t pending() const { return buf_.size() - off_; }
 
+  /// Bytes still needed to complete the first buffered record (the rest
+  /// of its header, then of its body); 0 when none is partly buffered.
+  std::size_t missing() const;
+
   /// True when the buffered tail is a *partial* record — after EOF this
   /// means the peer died mid-record (the complete prefix was delivered;
   /// the truncated tail is discarded and, on reconnect, the sender

@@ -592,7 +592,7 @@ TEST(StressLanes, SpillStormKeepsPerSenderFifoOnBothLanes) {
 TEST(StressLanes, SimultaneousFirstSendsRaceLaneCreation) {
   // Every PE, PE 0 included, makes its first send to PE 0 at the same
   // instant, so the lazy lane registrations race under PE 0's mutex.  Each
-  // producer must end up with exactly one lane, and every message must
+  // other producer must end up with exactly one lane, and every message must
   // arrive once and in its sender's order.
   constexpr int kNpes = 8;
   constexpr int kPerSender = 64;
@@ -632,7 +632,8 @@ TEST(StressLanes, SimultaneousFirstSendsRaceLaneCreation) {
     ASSERT_TRUE(fifo_ok.load()) << "machine " << round;
     ASSERT_EQ(received.load(), static_cast<long>(kNpes) * kPerSender)
         << "machine " << round;
-    ASSERT_EQ(lanes.load(), kNpes) << "machine " << round;
+    // One lane per peer: PE 0's own sends take no lane.
+    ASSERT_EQ(lanes.load(), kNpes - 1) << "machine " << round;
   }
 }
 
@@ -690,11 +691,83 @@ TEST(StressLanes, BurstServiceDrainsOneLaneAtATime) {
   EXPECT_EQ(fifo_breaks, 0);
 }
 
+TEST(StressLanes, SelfSendsUseNoLaneAndKeepFifo) {
+  // PE 3 only ever sends to itself; PE 0 sends to itself while PEs 1 and
+  // 2 fill their lanes into it.  Self-sends skip the data lanes, so PE 3
+  // registers none and PE 0 one per peer, yet each stream, the self
+  // streams included, arrives whole and in send order.  PE 0 starts only
+  // once both peers have sent, and its small ring hands the turn between
+  // the lanes and its self queue, so its self-sends arrive in more than
+  // one run.
+  constexpr int kNpes = 4;
+  constexpr int kPerSender = 64;
+  MachineConfig cfg;
+  cfg.npes = kNpes;
+  cfg.ring_capacity = 16;
+  cfg.aggregate_sends = 0;
+  std::atomic<int> filled{0};
+  std::atomic<int> done{0};
+  std::atomic<int> lanes0{-1};
+  std::atomic<int> lanes3{-1};
+  std::vector<LaneWire> order0, order3;  // each touched by one PE only
+  RunConverse(cfg, [&](int pe, int) {
+    const int h = CmiRegisterHandler([&](void* msg) {
+      LaneWire w;
+      std::memcpy(&w, CmiMsgPayload(msg), sizeof(w));
+      const bool at0 = CmiMyPe() == 0;
+      std::vector<LaneWire>& order = at0 ? order0 : order3;
+      order.push_back(w);
+      if (order.size() ==
+          static_cast<std::size_t>(at0 ? 3 * kPerSender : kPerSender)) {
+        (at0 ? lanes0 : lanes3) = detail::Cpv()->nlanes.load();
+        if (++done == 2) ConverseBroadcastExit();
+      }
+    });
+    auto send_all = [&, pe](int dest) {
+      for (int i = 0; i < kPerSender; ++i) {
+        LaneWire w{pe, i};
+        void* m = CmiMakeMessage(h, &w, sizeof(w));
+        CmiSyncSendAndFree(dest, CmiMsgTotalSize(m), m);
+      }
+    };
+    if (pe == 1 || pe == 2) {
+      send_all(0);
+      ++filled;
+    } else {
+      send_all(pe);
+      if (pe == 0) {
+        while (filled.load() < 2) std::this_thread::yield();
+      }
+    }
+    CsdScheduler(-1);
+  });
+  EXPECT_EQ(lanes0.load(), 2);
+  EXPECT_EQ(lanes3.load(), 0);
+  ASSERT_EQ(order0.size(), 3u * kPerSender);
+  ASSERT_EQ(order3.size(), static_cast<std::size_t>(kPerSender));
+  int fifo_breaks = 0;
+  int self_runs = 0;
+  std::vector<int> last(kNpes, -1);
+  for (const std::vector<LaneWire>* order : {&order0, &order3}) {
+    for (std::size_t k = 0; k < order->size(); ++k) {
+      const LaneWire& w = (*order)[k];
+      if (w.seq != last[w.sender] + 1) ++fifo_breaks;
+      last[w.sender] = w.seq;
+      if (order == &order0 && w.sender == 0 &&
+          (k == 0 || (*order)[k - 1].sender != 0)) {
+        ++self_runs;
+      }
+    }
+  }
+  EXPECT_EQ(fifo_breaks, 0);
+  EXPECT_GE(self_runs, 2) << "self-sends never shared the turn with lanes";
+}
+
 TEST(StressLanes, TimedMachinesAllocateNoDataLanes) {
   // Sim-backed machines deliver regular traffic through the timed queue,
   // so all-to-all traffic there must neither allocate nor register a data
   // lane; the same traffic on a plain machine registers one lane per
-  // sender at every PE.  A machine with only a NetModel is sim-backed too:
+  // other sender at every PE.  A machine with only a NetModel is sim-backed too:
   // its clock is virtual, so every remote message lands exactly alpha_us
   // after its send at virtual 0 and every self-send at 0.
   constexpr int kNpes = 3;
@@ -738,7 +811,7 @@ TEST(StressLanes, TimedMachinesAllocateNoDataLanes) {
     EXPECT_EQ(off_clock.load(), 0);
     if (cfg == &plain) {
       EXPECT_EQ(lane_tables.load(), kNpes);
-      EXPECT_EQ(lanes.load(), kNpes * kNpes);
+      EXPECT_EQ(lanes.load(), kNpes * (kNpes - 1));  // none for self
     } else {
       EXPECT_EQ(lane_tables.load(), 0);
       EXPECT_EQ(lanes.load(), 0);

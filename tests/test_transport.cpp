@@ -132,8 +132,12 @@ TEST(Wire, ParserPartialTailAndReset) {
   unsigned char hdr[kWireRecBytes];
   WireEncode(SampleRec(100, detail::kWireMessage), hdr);
   WireParser p;
-  p.Append(hdr, kWireRecBytes);
+  EXPECT_EQ(p.missing(), 0u);
+  p.Append(hdr, 10);
+  EXPECT_EQ(p.missing(), kWireRecBytes - 10);  // the rest of the header
+  p.Append(hdr + 10, kWireRecBytes - 10);
   p.Append("short", 5);  // 5 of the promised 100 body bytes
+  EXPECT_EQ(p.missing(), 95u);
   WireRec rec;
   const unsigned char* body = nullptr;
   EXPECT_EQ(p.Next(&rec, &body), 0);  // incomplete, not an error

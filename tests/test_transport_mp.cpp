@@ -13,9 +13,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -182,6 +184,107 @@ TEST(TransportMp, BroadcastAndImmediatesSmpNode) {
           }
           CsdScheduler(-1);
           if (seen != kSmall + kBig) ++bad;
+        });
+        return bad.load() == 0 ? kPass : kCheckFailed;
+      });
+  ASSERT_EQ(r.codes.size(), 2u);
+  EXPECT_EQ(r.codes[0], kPass);
+  EXPECT_EQ(r.codes[1], kPass);
+}
+
+TEST(TransportMp, LargeRecordsLandIntactAndInOrder) {
+  // 2 processes x 2 PEs: every PE streams a scripted mix of record sizes
+  // to both PEs on the other node — the 4 KiB direct-fill edge, back-to-
+  // back 64 KiB bodies, a body past the 64 KiB pool class, small records
+  // between large ones, and large immediates.  Every byte is pattern-
+  // checked and every (sender, lane) stream must arrive in send order.
+  struct Item {
+    std::size_t total;  // whole message, header included
+    bool immediate;
+  };
+  static const Item kScript[] = {
+      {4095, false},   {4096, false},  {4097, false},  {64, false},
+      {65536, false},  {65536, false}, {65536, false}, {65536, false},
+      {100, false},    {204800, false}, {48, false},    {4096, true},
+      {65536, false},  {8192, true},   {64, false},    {4097, false},
+      {64, false},     {65536, false}, {4095, true},   {65536, false},
+  };
+  constexpr int kRepeats = 6;
+  constexpr int kItems = static_cast<int>(std::size(kScript));
+  struct Tag {
+    int sender;
+    int seq;  // per (sender, dest, lane) send order
+    int imm;
+  };
+  const ForkResult r = ForkNodes(
+      4, 2, CmiTransport::kSmpNode, 10000, [&](MachineConfig& cfg, int) {
+        cfg.aggregate_sends = 0;  // every message is its own wire record
+        std::atomic<int> bad{0};
+        RunConverse(cfg, [&](int pe, int n) {
+          const int half = n / 2;
+          const int mine = pe / half;  // node of this PE
+          // Messages each PE expects: both remote PEs run the script.
+          const int want = half * kRepeats * kItems;
+          thread_local int got, dones;
+          thread_local std::vector<int> next;  // [sender * 2 + imm]
+          got = dones = 0;
+          next.assign(static_cast<std::size_t>(n) * 2, 0);
+          const int h_done = CmiRegisterHandler([n](void*) {
+            if (++dones == n) ConverseBroadcastExit();
+          });
+          auto check = [&bad, h_done, want](void* msg) {
+            Tag t;
+            std::memcpy(&t, CmiMsgPayload(msg), sizeof(t));
+            int& expect =
+                next[static_cast<std::size_t>(t.sender * 2 + t.imm)];
+            if (t.seq != expect) ++bad;
+            expect = t.seq + 1;
+            const auto* p =
+                static_cast<const unsigned char*>(CmiMsgPayload(msg));
+            const std::size_t len = CmiMsgPayloadSize(msg);
+            for (std::size_t i = sizeof(t); i < len; ++i) {
+              if (p[i] != static_cast<unsigned char>(t.sender * 31 +
+                                                     t.seq * 7 + i * 13)) {
+                ++bad;
+                break;
+              }
+            }
+            if (++got == want) {
+              void* d = CmiMakeMessage(h_done, nullptr, 0);
+              CmiSyncSendAndFree(0, CmiMsgTotalSize(d), d);
+            }
+          };
+          const int h_data = CmiRegisterHandler(check);
+          const int h_imm = CmiRegisterHandler(check);
+          std::vector<std::array<int, 2>> seqs(
+              static_cast<std::size_t>(half), {0, 0});  // [dest][imm]
+          for (int rep = 0; rep < kRepeats; ++rep) {
+            for (int d = 0; d < half; ++d) {
+              const int dest = (1 - mine) * half + d;
+              std::array<int, 2>& seq = seqs[static_cast<std::size_t>(d)];
+              for (const Item& it : kScript) {
+                void* m = CmiAlloc(it.total);
+                CmiSetHandler(m, it.immediate ? h_imm : h_data);
+                const int imm = it.immediate ? 1 : 0;
+                const Tag t{pe, seq[static_cast<std::size_t>(imm)]++, imm};
+                std::memcpy(CmiMsgPayload(m), &t, sizeof(t));
+                auto* p = static_cast<unsigned char*>(CmiMsgPayload(m));
+                for (std::size_t i = sizeof(t); i < CmiMsgPayloadSize(m);
+                     ++i) {
+                  p[i] = static_cast<unsigned char>(t.sender * 31 +
+                                                    t.seq * 7 + i * 13);
+                }
+                if (it.immediate) {
+                  CmiSyncSendImmediateAndFree(static_cast<unsigned>(dest),
+                                              CmiMsgTotalSize(m), m);
+                } else {
+                  CmiSyncSendAndFree(dest, CmiMsgTotalSize(m), m);
+                }
+              }
+            }
+          }
+          CsdScheduler(-1);
+          if (got != want) ++bad;
         });
         return bad.load() == 0 ? kPass : kCheckFailed;
       });
