@@ -127,6 +127,8 @@ struct LdbFuzzParams {
   /// Plant the lost-steal-reply bug (CldSetLoseStealReplyEvery(3)) so the
   /// oracles demonstrably catch and shrink it; forces strategy kSteal.
   bool plant_lost_steal_reply = false;
+
+  bool operator==(const LdbFuzzParams&) const = default;
 };
 
 struct LdbFuzzResult {
@@ -152,13 +154,10 @@ struct LdbFuzzResult {
 ///    that catches plant_lost_steal_reply.
 LdbFuzzResult RunLdbFuzzCase(const LdbFuzzParams& params);
 
-/// Greedy shrink of a failing case (fewer seeds, waves, PEs, disabled
-/// fault dimensions), like sim::Minimize.
-LdbFuzzParams MinimizeLdb(const LdbFuzzParams& failing, int budget = 48);
-
-/// One-line replay command, e.g.
-/// "tools/simfuzz --ldb --seed 7 --pes 4 --strategy 4 --lseeds 64".
-std::string FormatLdbReplay(const LdbFuzzParams& params);
+/// The simfuzz --ldb workload: its flag table, shrink rules (strategy
+/// pinned to the failing run's, then fewer seeds, waves and PEs, no
+/// priorities, each fault dimension off) and runner; see converse/fuzz.h.
+const fuzz::Workload<LdbFuzzParams, LdbFuzzResult>& LdbFuzzWorkload();
 
 }  // namespace ldb
 }  // namespace converse

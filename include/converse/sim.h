@@ -26,6 +26,11 @@
 
 namespace converse {
 
+namespace fuzz {
+template <class P, class R>
+struct Workload;  // converse/fuzz.h
+}  // namespace fuzz
+
 /// Fault-injection probabilities, each in [0, 1), applied independently to
 /// every regular inter-PE message at send time.  Messages a PE sends to
 /// itself are exempt (they never cross a network), as are immediate-lane
@@ -45,6 +50,7 @@ struct SimFaults {
   bool Any() const {
     return drop > 0 || dup > 0 || delay > 0 || reorder > 0;
   }
+  bool operator==(const SimFaults&) const = default;
 };
 
 /// Counters filled into SimConfig::report when the machine tears down.
@@ -147,6 +153,8 @@ struct FuzzParams {
   /// = 1): adds aggregated send bursts and explicit CmiFlush calls to the
   /// action mix, and the oracles see through frames.
   bool aggregate = false;
+
+  bool operator==(const FuzzParams&) const = default;
 };
 
 struct FuzzResult {
@@ -167,16 +175,10 @@ struct FuzzResult {
 ///  * the run ends by global quiescence (no stuck PE).
 FuzzResult RunFuzzCase(const FuzzParams& params);
 
-/// Shrink a failing case: greedily try fewer actions, fewer threads, fewer
-/// PEs, and disabled fault dimensions (at most `budget` deterministic
-/// re-runs), keeping every reduction that still fails.  Returns the
-/// smallest still-failing parameters (the input itself if nothing smaller
-/// fails).
-FuzzParams Minimize(const FuzzParams& failing, int budget = 64);
-
-/// One-line replay command for a parameter set, e.g.
-/// "CONVERSE_SIM_SEED=7 tools/simfuzz --pes 3 --actions 12 --plant-bug".
-std::string FormatReplay(const FuzzParams& params);
+/// The default simfuzz workload: its flag table, shrink rules (fewer
+/// actions, threads and PEs, aggregation off, then each fault dimension
+/// off) and runner; see converse/fuzz.h for Minimize and FormatReplay.
+const fuzz::Workload<FuzzParams, FuzzResult>& FuzzWorkload();
 
 /// Parameters of one CciRace fuzz run (simfuzz --race): seeded token
 /// chains hop between PEs writing per-chain registered cells (causally
@@ -191,6 +193,8 @@ struct RaceFuzzParams {
   /// the root — must classify confirmed-divergent); 2 = benign pair
   /// (commutative increments — must classify benign-commutative).
   int plant = 0;
+
+  bool operator==(const RaceFuzzParams&) const = default;
 };
 
 struct RaceFuzzResult {
@@ -212,8 +216,8 @@ bool RaceFuzzAvailable();
 /// benign-commutative and zero divergent.
 RaceFuzzResult RunRaceFuzzCase(const RaceFuzzParams& params);
 
-/// One-line replay command, e.g. "tools/simfuzz --race --seed 7 --pes 4".
-std::string FormatRaceReplay(const RaceFuzzParams& params);
+/// The simfuzz --race workload (never shrunk: a failure replays as is).
+const fuzz::Workload<RaceFuzzParams, RaceFuzzResult>& RaceFuzzWorkload();
 
 }  // namespace sim
 }  // namespace converse

@@ -146,6 +146,8 @@ struct SvcFuzzParams {
   /// Plant the lost-reply bug (SvcConfig::lose_reply_every = 5) so the
   /// conservation oracle demonstrably catches and shrinks it.
   bool plant_lost_reply = false;
+
+  bool operator==(const SvcFuzzParams&) const = default;
 };
 
 struct SvcFuzzResult {
@@ -170,12 +172,9 @@ struct SvcFuzzResult {
 ///    plant_lost_reply).
 SvcFuzzResult RunSvcFuzzCase(const SvcFuzzParams& params);
 
-/// Greedy shrink of a failing case (fewer requests, workers, PEs, disabled
-/// fault dimensions), like sim::Minimize.
-SvcFuzzParams MinimizeSvc(const SvcFuzzParams& failing, int budget = 48);
-
-/// One-line replay command, e.g.
-/// "tools/simfuzz --service --seed 7 --pes 4 --requests 48".
-std::string FormatSvcReplay(const SvcFuzzParams& params);
+/// The simfuzz --service workload: its flag table, shrink rules (fewer
+/// requests, workers, PEs and sessions, then each fault dimension off) and
+/// runner; see converse/fuzz.h.
+const fuzz::Workload<SvcFuzzParams, SvcFuzzResult>& SvcFuzzWorkload();
 
 }  // namespace converse::svc

@@ -42,6 +42,8 @@ struct TransportFuzzParams {
   /// Plant a silent single-record loss (not accounted in wire_dropped);
   /// the conservation oracle is expected to FAIL the case.
   bool plant_lost = false;
+
+  bool operator==(const TransportFuzzParams&) const = default;
 };
 
 struct TransportFuzzResult {
@@ -59,12 +61,10 @@ struct TransportFuzzResult {
 /// the event-trace hash).
 TransportFuzzResult RunTransportFuzzCase(const TransportFuzzParams& params);
 
-/// Shrink a failing case (fewer actions, fewer PEs/nodes, no aggregation,
-/// no injected disconnects) with at most `budget` deterministic re-runs.
-TransportFuzzParams MinimizeTransport(const TransportFuzzParams& failing,
-                                      int budget = 64);
-
-/// One-line replay command for a parameter set.
-std::string FormatTransportReplay(const TransportFuzzParams& params);
+/// The simfuzz --transport workload: its flag table, shrink rules (fewer
+/// actions, PEs and nodes, no aggregation, no injected disconnects) and
+/// runner; see converse/fuzz.h.
+const fuzz::Workload<TransportFuzzParams, TransportFuzzResult>&
+TransportFuzzWorkload();
 
 }  // namespace converse::transport

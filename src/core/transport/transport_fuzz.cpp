@@ -21,6 +21,7 @@
 
 #include "converse/cmi.h"
 #include "converse/csd.h"
+#include "converse/fuzz.h"
 #include "converse/machine.h"
 #include "converse/msg.h"
 #include "converse/stream.h"
@@ -266,82 +267,44 @@ TransportFuzzResult RunTransportFuzzCase(const TransportFuzzParams& params) {
   return res;
 }
 
-TransportFuzzParams MinimizeTransport(const TransportFuzzParams& failing,
-                                      int budget) {
-  TransportFuzzParams best = failing;
-  auto still_fails = [&budget](const TransportFuzzParams& p) {
-    if (budget <= 0) return false;
-    --budget;
-    return !RunTransportFuzzCase(p).ok;
-  };
-  bool improved = true;
-  while (improved && budget > 0) {
-    improved = false;
-    if (best.actions > 1) {
-      TransportFuzzParams t = best;
-      t.actions = best.actions / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.npes > 2) {
-      TransportFuzzParams t = best;
-      t.npes = best.npes / 2;
-      if (t.nnodes > t.npes) t.nnodes = t.npes;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.nnodes > 2) {
-      TransportFuzzParams t = best;
-      t.nnodes = 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.aggregate) {
-      TransportFuzzParams t = best;
-      t.aggregate = false;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.disconnect_rate > 0) {
-      TransportFuzzParams t = best;
-      t.disconnect_rate = 0;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-      }
-    }
-  }
-  return best;
-}
-
-std::string FormatTransportReplay(const TransportFuzzParams& params) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "tools/simfuzz --transport --seed %llu --pes %d --nodes %d "
-                "--actions %d",
-                static_cast<unsigned long long>(params.seed), params.npes,
-                params.nnodes, params.actions);
-  std::string out = buf;
-  if (params.disconnect_rate > 0) {
-    std::snprintf(buf, sizeof(buf), " --disconnect %g --lost %d",
-                  params.disconnect_rate, params.disconnect_lost);
-    out += buf;
-  }
-  if (params.aggregate) out += " --agg";
-  if (params.plant_lost) out += " --plant-lost";
-  return out;
+const fuzz::Workload<TransportFuzzParams, TransportFuzzResult>&
+TransportFuzzWorkload() {
+  using P = TransportFuzzParams;
+  using fuzz::At;
+  using enum fuzz::Shrink;
+  using enum fuzz::Print;
+  static const fuzz::Workload<P, TransportFuzzResult> w{
+      .mode = "--transport",
+      .run = RunTransportFuzzCase,
+      .print_ok =
+          [](const P& p, const TransportFuzzResult& r) {
+            std::printf(
+                "%d pes / %d nodes, %llu wire records, %llu dropped, %llu "
+                "reconnects, virtual time %.0f us",
+                p.npes, p.nnodes,
+                static_cast<unsigned long long>(r.wire_frames_sent),
+                static_cast<unsigned long long>(r.wire_dropped),
+                static_cast<unsigned long long>(r.wire_reconnects),
+                r.report.final_virtual_us);
+          },
+      .budget = 64,
+      .fields = {
+          {.flag = "--pes", .at = At<&P::npes>, .shrink = kHalve, .step = 1,
+           .floor = 2, .lo = 1, .caps = At<&P::nnodes>},
+          {.flag = "--nodes", .at = At<&P::nnodes>, .shrink = kFloor,
+           .step = 2, .floor = 2, .lo = 1},
+          {.flag = "--actions", .at = At<&P::actions>, .shrink = kHalve,
+           .step = 0, .floor = 1},
+          {.flag = "--disconnect", .at = At<&P::disconnect_rate>,
+           .shrink = kFloor, .step = 4, .print = kIfSet, .hi = 1},
+          {.flag = "--lost", .at = At<&P::disconnect_lost>,
+           .print = kWithPrev, .lo = 1},
+          {.flag = "--agg", .at = At<&P::aggregate>, .shrink = kFloor,
+           .step = 3, .print = kIfSet, .sets = 1},
+          {.flag = "--plant-lost", .at = At<&P::plant_lost>, .print = kIfSet,
+           .sets = 1},
+      }};
+  return w;
 }
 
 }  // namespace converse::transport

@@ -13,6 +13,7 @@
 #include "converse/cld.h"
 #include "converse/cmi.h"
 #include "converse/csd.h"
+#include "converse/fuzz.h"
 #include "converse/handlers.h"
 #include "converse/machine.h"
 #include "converse/msg.h"
@@ -271,91 +272,56 @@ LdbFuzzResult RunLdbFuzzCase(const LdbFuzzParams& params) {
   return res;
 }
 
-LdbFuzzParams MinimizeLdb(const LdbFuzzParams& failing, int budget) {
-  LdbFuzzParams best = failing;
-  // Pin the strategy: a shrunk case must fail for the same reason, and the
-  // -1 draw would re-roll it once other dimensions change.
-  best.strategy = RunLdbFuzzCase(failing).strategy;
-  auto still_fails = [&budget](const LdbFuzzParams& p) {
-    if (budget <= 0) return false;
-    --budget;
-    return !RunLdbFuzzCase(p).ok;
-  };
-  bool improved = true;
-  while (improved && budget > 0) {
-    improved = false;
-    if (best.seeds_per_pe > 1) {
-      LdbFuzzParams t = best;
-      t.seeds_per_pe = best.seeds_per_pe / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.waves > 1) {
-      LdbFuzzParams t = best;
-      t.waves = best.waves / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.npes > 2) {
-      LdbFuzzParams t = best;
-      t.npes = best.npes / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.prio_fraction > 0) {
-      LdbFuzzParams t = best;
-      t.prio_fraction = 0;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    for (double SimFaults::*dim : {&SimFaults::drop, &SimFaults::dup,
-                                   &SimFaults::delay, &SimFaults::reorder}) {
-      if (best.faults.*dim == 0) continue;
-      LdbFuzzParams t = best;
-      t.faults.*dim = 0;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        break;
-      }
-    }
-  }
-  return best;
-}
-
-std::string FormatLdbReplay(const LdbFuzzParams& params) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "tools/simfuzz --ldb --seed %llu --pes %d --strategy %d "
-                "--lseeds %llu --waves %d --prio-frac %g",
-                static_cast<unsigned long long>(params.seed), params.npes,
-                params.strategy,
-                static_cast<unsigned long long>(params.seeds_per_pe),
-                params.waves, params.prio_fraction);
-  std::string out = buf;
-  const auto add_prob = [&out, &buf](const char* flag, double v) {
-    if (v <= 0) return;
-    std::snprintf(buf, sizeof(buf), " %s %g", flag, v);
-    out += buf;
-  };
-  add_prob("--drop", params.faults.drop);
-  add_prob("--dup", params.faults.dup);
-  add_prob("--delay", params.faults.delay);
-  add_prob("--reorder", params.faults.reorder);
-  if (params.plant_lost_steal_reply) out += " --plant-lost-steal-reply";
-  return out;
+const fuzz::Workload<LdbFuzzParams, LdbFuzzResult>& LdbFuzzWorkload() {
+  using P = LdbFuzzParams;
+  using fuzz::At;
+  using enum fuzz::Shrink;
+  using enum fuzz::Print;
+  static const fuzz::Workload<P, LdbFuzzResult> w{
+      .mode = "--ldb",
+      .run = RunLdbFuzzCase,
+      .print_ok =
+          [](const P&, const LdbFuzzResult& r) {
+            std::printf(
+                "strategy %d, %llu seeds: %llu stolen, %llu rebalanced, "
+                "virtual time %.0f us, faults: %llu dropped, %llu "
+                "duplicated, %llu delayed, %llu reordered",
+                r.strategy, static_cast<unsigned long long>(r.spawned),
+                static_cast<unsigned long long>(r.totals.stolen_in),
+                static_cast<unsigned long long>(r.totals.rebalanced_out),
+                r.report.final_virtual_us,
+                static_cast<unsigned long long>(r.report.msgs_dropped),
+                static_cast<unsigned long long>(r.report.msgs_duplicated),
+                static_cast<unsigned long long>(r.report.msgs_delayed),
+                static_cast<unsigned long long>(r.report.msgs_reordered));
+          },
+      .budget = 48,
+      // A shrunk case must fail for the same reason, and the -1 draw would
+      // re-roll the strategy once other dimensions change.
+      .pin = [](P& p) { p.strategy = RunLdbFuzzCase(p).strategy; },
+      .fields = {
+          {.flag = "--pes", .at = At<&P::npes>, .shrink = kHalve, .step = 2,
+           .floor = 2, .lo = 1},
+          {.flag = "--strategy", .at = At<&P::strategy>, .lo = -1,
+           .hi = kCldStrategyCount - 1},
+          {.flag = "--lseeds", .at = At<&P::seeds_per_pe>, .shrink = kHalve,
+           .step = 0, .floor = 1, .lo = 1},
+          {.flag = "--waves", .at = At<&P::waves>, .shrink = kHalve,
+           .step = 1, .floor = 1, .lo = 1},
+          {.flag = "--prio-frac", .at = At<&P::prio_fraction>,
+           .shrink = kFloor, .step = 3, .hi = 1},
+          {.flag = "--drop", .at = At<&P::faults, &SimFaults::drop>,
+           .shrink = kFloor, .step = 4, .print = kIfSet, .hi = 1},
+          {.flag = "--dup", .at = At<&P::faults, &SimFaults::dup>,
+           .shrink = kFloor, .step = 5, .print = kIfSet, .hi = 1},
+          {.flag = "--delay", .at = At<&P::faults, &SimFaults::delay>,
+           .shrink = kFloor, .step = 6, .print = kIfSet, .hi = 1},
+          {.flag = "--reorder", .at = At<&P::faults, &SimFaults::reorder>,
+           .shrink = kFloor, .step = 7, .print = kIfSet, .hi = 1},
+          {.flag = "--plant-lost-steal-reply",
+           .at = At<&P::plant_lost_steal_reply>, .print = kIfSet, .sets = 1},
+      }};
+  return w;
 }
 
 }  // namespace converse::ldb

@@ -35,6 +35,7 @@
 #include "converse/cmm.h"
 #include "converse/csd.h"
 #include "converse/cth.h"
+#include "converse/fuzz.h"
 #include "converse/machine.h"
 #include "converse/msg.h"
 #include "converse/race.h"
@@ -487,87 +488,54 @@ FuzzResult RunFuzzCase(const FuzzParams& params) {
   return res;
 }
 
-FuzzParams Minimize(const FuzzParams& failing, int budget) {
-  FuzzParams best = failing;
-  auto still_fails = [&budget](const FuzzParams& p) {
-    if (budget <= 0) return false;
-    --budget;
-    return !RunFuzzCase(p).ok;
-  };
-  bool improved = true;
-  while (improved && budget > 0) {
-    improved = false;
-    if (best.actions > 1) {
-      FuzzParams t = best;
-      t.actions = best.actions / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.threads > 0) {
-      FuzzParams t = best;
-      t.threads = best.threads / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.npes > 1) {
-      FuzzParams t = best;
-      t.npes = best.npes > 2 ? best.npes / 2 : 1;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.aggregate) {
-      FuzzParams t = best;
-      t.aggregate = false;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    for (double SimFaults::*dim : {&SimFaults::drop, &SimFaults::dup,
-                                   &SimFaults::delay, &SimFaults::reorder}) {
-      if (best.faults.*dim == 0) continue;
-      FuzzParams t = best;
-      t.faults.*dim = 0;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        break;
-      }
-    }
-  }
-  return best;
-}
-
-std::string FormatReplay(const FuzzParams& params) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "CONVERSE_SIM_SEED=%llu tools/simfuzz --pes %d --actions %d "
-                "--threads %d",
-                static_cast<unsigned long long>(params.seed), params.npes,
-                params.actions, params.threads);
-  std::string out = buf;
-  const auto add_prob = [&out, &buf](const char* flag, double v) {
-    if (v <= 0) return;
-    std::snprintf(buf, sizeof(buf), " %s %g", flag, v);
-    out += buf;
-  };
-  add_prob("--drop", params.faults.drop);
-  add_prob("--dup", params.faults.dup);
-  add_prob("--delay", params.faults.delay);
-  add_prob("--reorder", params.faults.reorder);
-  if (params.plant_reorder_bug) out += " --plant-bug";
-  if (params.aggregate) out += " --agg";
-  return out;
+const fuzz::Workload<FuzzParams, FuzzResult>& FuzzWorkload() {
+  using P = FuzzParams;
+  using fuzz::At;
+  using enum fuzz::Shrink;
+  using enum fuzz::Print;
+  static const fuzz::Workload<P, FuzzResult> w{
+      .mode = nullptr,
+      .seed_env = true,
+      .run = RunFuzzCase,
+      .print_ok =
+          [](const P&, const FuzzResult& r) {
+            const SimReport& s = r.report;
+            std::printf(
+                "%llu events, %llu switches, virtual time %.0f us, faults: "
+                "%llu dropped, %llu duplicated, %llu delayed, %llu "
+                "reordered, agg: %llu frames / %llu batched",
+                static_cast<unsigned long long>(s.events),
+                static_cast<unsigned long long>(s.context_switches),
+                s.final_virtual_us,
+                static_cast<unsigned long long>(s.msgs_dropped),
+                static_cast<unsigned long long>(s.msgs_duplicated),
+                static_cast<unsigned long long>(s.msgs_delayed),
+                static_cast<unsigned long long>(s.msgs_reordered),
+                static_cast<unsigned long long>(s.agg_frames),
+                static_cast<unsigned long long>(s.agg_msgs_batched));
+          },
+      .budget = 64,
+      .fields = {
+          {.flag = "--pes", .at = At<&P::npes>, .shrink = kHalve, .step = 2,
+           .floor = 1, .lo = 1},
+          {.flag = "--actions", .at = At<&P::actions>, .shrink = kHalve,
+           .step = 0, .floor = 1},
+          {.flag = "--threads", .at = At<&P::threads>, .shrink = kHalve,
+           .step = 1},
+          {.flag = "--drop", .at = At<&P::faults, &SimFaults::drop>,
+           .shrink = kFloor, .step = 4, .print = kIfSet, .hi = 1},
+          {.flag = "--dup", .at = At<&P::faults, &SimFaults::dup>,
+           .shrink = kFloor, .step = 5, .print = kIfSet, .hi = 1},
+          {.flag = "--delay", .at = At<&P::faults, &SimFaults::delay>,
+           .shrink = kFloor, .step = 6, .print = kIfSet, .hi = 1},
+          {.flag = "--reorder", .at = At<&P::faults, &SimFaults::reorder>,
+           .shrink = kFloor, .step = 7, .print = kIfSet, .hi = 1},
+          {.flag = "--plant-bug", .at = At<&P::plant_reorder_bug>,
+           .print = kIfSet, .sets = 1},
+          {.flag = "--agg", .at = At<&P::aggregate>, .shrink = kFloor,
+           .step = 3, .print = kIfSet, .sets = 1},
+      }};
+  return w;
 }
 
 // ---------------------------------------------------------------------------
@@ -768,17 +736,33 @@ RaceFuzzResult RunRaceFuzzCase(const RaceFuzzParams& params) {
   return res;
 }
 
-std::string FormatRaceReplay(const RaceFuzzParams& params) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "tools/simfuzz --race --seed %llu --pes %d --chains %d "
-                "--hops %d%s",
-                static_cast<unsigned long long>(params.seed), params.npes,
-                params.chains, params.hops,
-                params.plant == 1   ? " --plant-race"
-                : params.plant == 2 ? " --plant-benign"
-                                    : "");
-  return buf;
+const fuzz::Workload<RaceFuzzParams, RaceFuzzResult>& RaceFuzzWorkload() {
+  using P = RaceFuzzParams;
+  using fuzz::At;
+  using enum fuzz::Print;
+  static const fuzz::Workload<P, RaceFuzzResult> w{
+      .mode = "--race",
+      .run = RunRaceFuzzCase,
+      .print_ok =
+          [](const P&, const RaceFuzzResult& r) {
+            std::printf(
+                "%d candidate(s): %d divergent, %d benign, %d unreplayable",
+                r.candidates, r.divergent, r.benign, r.unreplayable);
+          },
+      .unavailable = RaceFuzzAvailable()
+                         ? nullptr
+                         : "--race needs the CciRace detector; rebuild with "
+                           "-DCONVERSE_RACE=ON",
+      .fields = {
+          {.flag = "--pes", .at = At<&P::npes>, .lo = 1},
+          {.flag = "--chains", .at = At<&P::chains>},
+          {.flag = "--hops", .at = At<&P::hops>, .lo = 1},
+          {.flag = "--plant-race", .at = At<&P::plant>, .print = kIfSet,
+           .sets = 1},
+          {.flag = "--plant-benign", .at = At<&P::plant>, .print = kIfSet,
+           .sets = 2},
+      }};
+  return w;
 }
 
 }  // namespace converse::sim

@@ -6,8 +6,10 @@
 // one-line replay command reproduces any failure.
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 #include <string>
 
+#include "converse/fuzz.h"
 #include "converse/machine.h"
 #include "converse/svc.h"
 
@@ -165,89 +167,55 @@ SvcFuzzResult RunSvcFuzzCase(const SvcFuzzParams& params) {
   return res;
 }
 
-SvcFuzzParams MinimizeSvc(const SvcFuzzParams& failing, int budget) {
-  SvcFuzzParams best = failing;
-  auto still_fails = [&budget](const SvcFuzzParams& p) {
-    if (budget <= 0) return false;
-    --budget;
-    return !RunSvcFuzzCase(p).ok;
-  };
-  bool improved = true;
-  while (improved && budget > 0) {
-    improved = false;
-    if (best.requests_per_pe > 1) {
-      SvcFuzzParams t = best;
-      t.requests_per_pe = best.requests_per_pe / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.workers > 1) {
-      SvcFuzzParams t = best;
-      t.workers = best.workers / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.npes > 1) {
-      SvcFuzzParams t = best;
-      t.npes = best.npes > 2 ? best.npes / 2 : 1;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    if (best.sessions > 1) {
-      SvcFuzzParams t = best;
-      t.sessions = best.sessions / 2;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        continue;
-      }
-    }
-    for (double SimFaults::*dim : {&SimFaults::drop, &SimFaults::dup,
-                                   &SimFaults::delay, &SimFaults::reorder}) {
-      if (best.faults.*dim == 0) continue;
-      SvcFuzzParams t = best;
-      t.faults.*dim = 0;
-      if (still_fails(t)) {
-        best = t;
-        improved = true;
-        break;
-      }
-    }
-  }
-  return best;
-}
-
-std::string FormatSvcReplay(const SvcFuzzParams& params) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "tools/simfuzz --service --seed %llu --pes %d --sessions "
-                "%llu --workers %d --requests %llu --rate %g --qcap %u",
-                static_cast<unsigned long long>(params.seed), params.npes,
-                static_cast<unsigned long long>(params.sessions),
-                params.workers,
-                static_cast<unsigned long long>(params.requests_per_pe),
-                params.rate_per_pe, params.queue_cap);
-  std::string out = buf;
-  const auto add_prob = [&out, &buf](const char* flag, double v) {
-    if (v <= 0) return;
-    std::snprintf(buf, sizeof(buf), " %s %g", flag, v);
-    out += buf;
-  };
-  add_prob("--drop", params.faults.drop);
-  add_prob("--dup", params.faults.dup);
-  add_prob("--delay", params.faults.delay);
-  add_prob("--reorder", params.faults.reorder);
-  if (params.plant_lost_reply) out += " --plant-lost-reply";
-  return out;
+const fuzz::Workload<SvcFuzzParams, SvcFuzzResult>& SvcFuzzWorkload() {
+  using P = SvcFuzzParams;
+  using fuzz::At;
+  using enum fuzz::Shrink;
+  using enum fuzz::Print;
+  static const fuzz::Workload<P, SvcFuzzResult> w{
+      .mode = "--service",
+      .run = RunSvcFuzzCase,
+      .print_ok =
+          [](const P&, const SvcFuzzResult& r) {
+            std::printf(
+                "%llu requests: %llu completed, %llu shed, virtual time "
+                "%.0f us, faults: %llu dropped, %llu duplicated, %llu "
+                "delayed, %llu reordered",
+                static_cast<unsigned long long>(r.totals.requests_sent),
+                static_cast<unsigned long long>(r.totals.completed),
+                static_cast<unsigned long long>(r.totals.shed_queue +
+                                                r.totals.shed_deadline),
+                r.report.final_virtual_us,
+                static_cast<unsigned long long>(r.report.msgs_dropped),
+                static_cast<unsigned long long>(r.report.msgs_duplicated),
+                static_cast<unsigned long long>(r.report.msgs_delayed),
+                static_cast<unsigned long long>(r.report.msgs_reordered));
+          },
+      .budget = 48,
+      .fields = {
+          {.flag = "--pes", .at = At<&P::npes>, .shrink = kHalve, .step = 2,
+           .floor = 1, .lo = 1},
+          {.flag = "--sessions", .at = At<&P::sessions>, .shrink = kHalve,
+           .step = 3, .floor = 1, .lo = 1},
+          {.flag = "--workers", .at = At<&P::workers>, .shrink = kHalve,
+           .step = 1, .floor = 1, .lo = 1},
+          {.flag = "--requests", .at = At<&P::requests_per_pe>,
+           .shrink = kHalve, .step = 0, .floor = 1},
+          {.flag = "--rate", .at = At<&P::rate_per_pe>,
+           .lo = std::numeric_limits<double>::denorm_min()},
+          {.flag = "--qcap", .at = At<&P::queue_cap>},
+          {.flag = "--drop", .at = At<&P::faults, &SimFaults::drop>,
+           .shrink = kFloor, .step = 4, .print = kIfSet, .hi = 1},
+          {.flag = "--dup", .at = At<&P::faults, &SimFaults::dup>,
+           .shrink = kFloor, .step = 5, .print = kIfSet, .hi = 1},
+          {.flag = "--delay", .at = At<&P::faults, &SimFaults::delay>,
+           .shrink = kFloor, .step = 6, .print = kIfSet, .hi = 1},
+          {.flag = "--reorder", .at = At<&P::faults, &SimFaults::reorder>,
+           .shrink = kFloor, .step = 7, .print = kIfSet, .hi = 1},
+          {.flag = "--plant-lost-reply", .at = At<&P::plant_lost_reply>,
+           .print = kIfSet, .sets = 1},
+      }};
+  return w;
 }
 
 }  // namespace converse::svc

@@ -437,3 +437,44 @@ TEST(Cld, DiagnosticsCount) {
     CsdScheduler(5);
   });
 }
+
+TEST(LdbFuzz, PlantedLostStealReplyIsCaughtAndShrunk) {
+  ldb::LdbFuzzParams p;
+  p.plant_lost_steal_reply = true;
+  const ldb::LdbFuzzResult r = ldb::RunLdbFuzzCase(p);
+  ASSERT_FALSE(r.ok);
+  EXPECT_NE(r.failure.find("conservation"), std::string::npos) << r.failure;
+
+  const auto& w = ldb::LdbFuzzWorkload();
+  const ldb::LdbFuzzParams small = w.Minimize(p);
+  EXPECT_FALSE(ldb::RunLdbFuzzCase(small).ok);
+  // The shrinker pins the strategy the failing run resolved (the plant
+  // forces kSteal) instead of leaving the -1 draw to re-roll it.
+  EXPECT_EQ(small.strategy, static_cast<int>(CldStrategy::kSteal));
+  EXPECT_LT(small.seeds_per_pe, p.seeds_per_pe);
+  EXPECT_EQ(w.FormatReplay(small),
+            "tools/simfuzz --ldb --seed 1 --pes 4 --strategy 4 --lseeds 8 "
+            "--waves 2 --prio-frac 0 --plant-lost-steal-reply");
+}
+
+class LdbReplay : public ::testing::TestWithParam<double> {};
+
+TEST_P(LdbReplay, ParseOfFormatReplayIsIdentity) {
+  const double x = GetParam();
+  ldb::LdbFuzzParams p;
+  p.seed = 1234567890123ull;
+  p.npes = 3;
+  p.strategy = 2;
+  p.seeds_per_pe = 17;
+  p.waves = 3;
+  p.prio_fraction = x;
+  p.faults.drop = x;
+  p.faults.dup = x / 3;
+  p.faults.delay = 1 - x;
+  p.faults.reorder = x * x;
+  p.plant_lost_steal_reply = true;
+  const auto& w = ldb::LdbFuzzWorkload();
+  EXPECT_EQ(ctu::ParseReplay(w, w.FormatReplay(p)), p) << w.FormatReplay(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(Doubles, LdbReplay, ctu::kReplayDoubles);

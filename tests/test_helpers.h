@@ -5,10 +5,12 @@
 
 #include <atomic>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "converse/converse.h"
+#include "converse/fuzz.h"
 
 namespace converse::ctu {
 
@@ -52,5 +54,32 @@ class PerPeCounters {
  private:
   std::vector<std::atomic<long>> counts_;
 };
+
+/// Parses a simfuzz replay line back into parameters with the workload's
+/// own flag parser.  A leading CONVERSE_SIM_SEED=N sets the seed, as the
+/// environment variable does for simfuzz.
+template <class P, class R>
+P ParseReplay(const fuzz::Workload<P, R>& w, const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> words;
+  for (std::string word; in >> word;) words.push_back(word);
+  P p;
+  const std::string env = "CONVERSE_SIM_SEED=";
+  if (!words.empty() && words[0].rfind(env, 0) == 0) {
+    p.seed = std::stoull(words[0].substr(env.size()));
+    words.erase(words.begin());
+  }
+  std::vector<const char*> argv;
+  for (const std::string& word : words) argv.push_back(word.c_str());
+  fuzz::Cli cli;
+  EXPECT_EQ(w.Parse(static_cast<int>(argv.size()), argv.data(), p, cli), "")
+      << line;
+  return p;
+}
+
+/// Doubles for replay round-trip tests: a short one, and ones that need
+/// all 17 significant digits to read back exactly.
+inline const auto kReplayDoubles =
+    ::testing::Values(0.05, 0.1 + 0.2, 1.0 / 3, 0.12345678901234568);
 
 }  // namespace converse::ctu

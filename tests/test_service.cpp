@@ -5,7 +5,7 @@
 // lost-reply bug is caught and shrunk).
 #include "converse/svc.h"
 
-#include <gtest/gtest.h>
+#include "test_helpers.h"
 
 #include <vector>
 
@@ -286,15 +286,40 @@ TEST(ServiceFuzz, PlantedLostReplyIsCaughtAndShrunk) {
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.failure.find("conservation"), std::string::npos) << r.failure;
 
-  const SvcFuzzParams small = MinimizeSvc(p);
+  const auto& w = SvcFuzzWorkload();
+  const SvcFuzzParams small = w.Minimize(p);
   EXPECT_FALSE(RunSvcFuzzCase(small).ok);
   EXPECT_LE(small.requests_per_pe, p.requests_per_pe);
   EXPECT_LE(small.npes, p.npes);
   // The replay line round-trips the shrunk parameters.
-  const std::string replay = FormatSvcReplay(small);
+  const std::string replay = w.FormatReplay(small);
   EXPECT_NE(replay.find("--service"), std::string::npos);
   EXPECT_NE(replay.find("--plant-lost-reply"), std::string::npos);
+  EXPECT_EQ(ctu::ParseReplay(w, replay), small) << replay;
 }
+
+class ServiceReplay : public ::testing::TestWithParam<double> {};
+
+TEST_P(ServiceReplay, ParseOfFormatReplayIsIdentity) {
+  const double x = GetParam();
+  SvcFuzzParams p;
+  p.seed = 1234567890123ull;
+  p.npes = 3;
+  p.sessions = 17;
+  p.workers = 2;
+  p.requests_per_pe = 11;
+  p.rate_per_pe = x * 1e6;
+  p.queue_cap = 5;
+  p.faults.drop = x;
+  p.faults.dup = x / 3;
+  p.faults.delay = 1 - x;
+  p.faults.reorder = x * x;
+  p.plant_lost_reply = true;
+  const auto& w = SvcFuzzWorkload();
+  EXPECT_EQ(ctu::ParseReplay(w, w.FormatReplay(p)), p) << w.FormatReplay(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(Doubles, ServiceReplay, ctu::kReplayDoubles);
 
 TEST(ServiceFuzz, PlantedBugCaughtEvenUnderFaults) {
   // The total-conservation oracle corrects for injected drops/dups using

@@ -100,18 +100,55 @@ TEST(Sim, PlantedOrderingBugIsCaughtAndShrunk) {
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.failure.find("FIFO"), std::string::npos) << r.failure;
 
-  const sim::FuzzParams small = sim::Minimize(p);
+  const auto& w = sim::FuzzWorkload();
+  const sim::FuzzParams small = w.Minimize(p);
   const sim::FuzzResult still = sim::RunFuzzCase(small);
   EXPECT_FALSE(still.ok) << "minimized case no longer fails";
   EXPECT_LT(small.actions, p.actions);
   EXPECT_LE(small.npes, p.npes);
 
-  const std::string replay = sim::FormatReplay(small);
+  const std::string replay = w.FormatReplay(small);
   EXPECT_NE(replay.find("CONVERSE_SIM_SEED="), std::string::npos) << replay;
   EXPECT_NE(replay.find("--plant-bug"), std::string::npos) << replay;
   // And the shrunk line is a complete reproduction: running it again via
   // the params gives the same failure deterministically.
   EXPECT_EQ(sim::RunFuzzCase(small).failure, still.failure);
+}
+
+// Replay lines reproduce the run: every field away from its default, and
+// doubles printed so they read back exactly.
+class SimReplay : public ::testing::TestWithParam<double> {};
+
+TEST_P(SimReplay, ParseOfFormatReplayIsIdentity) {
+  const double x = GetParam();
+  sim::FuzzParams p;
+  p.seed = 1234567890123ull;
+  p.npes = 7;
+  p.actions = 5;
+  p.threads = 3;
+  p.faults.drop = x;
+  p.faults.dup = x / 3;
+  p.faults.delay = 1 - x;
+  p.faults.reorder = x * x;
+  p.plant_reorder_bug = true;
+  p.aggregate = true;
+  const auto& w = sim::FuzzWorkload();
+  EXPECT_EQ(ctu::ParseReplay(w, w.FormatReplay(p)), p) << w.FormatReplay(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(Doubles, SimReplay, ctu::kReplayDoubles);
+
+TEST(Sim, RaceReplayRoundTrips) {
+  const auto& w = sim::RaceFuzzWorkload();
+  for (int plant : {1, 2}) {
+    sim::RaceFuzzParams p;
+    p.seed = 99;
+    p.npes = 3;
+    p.chains = 2;
+    p.hops = 9;
+    p.plant = plant;
+    EXPECT_EQ(ctu::ParseReplay(w, w.FormatReplay(p)), p) << w.FormatReplay(p);
+  }
 }
 
 TEST(Sim, VirtualClockIsExactUnderNetModel) {

@@ -509,8 +509,8 @@ TEST(TransportFault, MinimizerShrinksFailingCase) {
   p.nnodes = 3;
   p.actions = 32;
   p.plant_lost = true;
-  const transport::TransportFuzzParams small =
-      transport::MinimizeTransport(p, 24);
+  const auto& w = transport::TransportFuzzWorkload();
+  const transport::TransportFuzzParams small = w.Minimize(p, 24);
   // The planted loss reproduces at any scale, so the minimizer must be
   // able to shrink the workload while keeping the failure.
   EXPECT_LE(small.actions, p.actions);
@@ -519,7 +519,25 @@ TEST(TransportFault, MinimizerShrinksFailingCase) {
       transport::RunTransportFuzzCase(small);
   EXPECT_FALSE(r.ok);
   // And the replay line names the tool invocation for humans.
-  const std::string replay = transport::FormatTransportReplay(small);
+  const std::string replay = w.FormatReplay(small);
   EXPECT_NE(replay.find("--transport"), std::string::npos);
   EXPECT_NE(replay.find("--plant-lost"), std::string::npos);
 }
+
+class TransportReplay : public ::testing::TestWithParam<double> {};
+
+TEST_P(TransportReplay, ParseOfFormatReplayIsIdentity) {
+  transport::TransportFuzzParams p;
+  p.seed = 1234567890123ull;
+  p.npes = 5;
+  p.nnodes = 4;
+  p.actions = 9;
+  p.disconnect_rate = GetParam();
+  p.disconnect_lost = 5;
+  p.aggregate = true;
+  p.plant_lost = true;
+  const auto& w = transport::TransportFuzzWorkload();
+  EXPECT_EQ(ctu::ParseReplay(w, w.FormatReplay(p)), p) << w.FormatReplay(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(Doubles, TransportReplay, ctu::kReplayDoubles);

@@ -1,480 +1,66 @@
 // simfuzz — seed-driven fuzzer for the Converse deterministic simulator.
 //
-// Runs randomized workloads (converse::sim::RunFuzzCase) under the sim
-// backend with optional fault injection, checks the built-in invariant
-// oracles, and on failure shrinks the case and prints a one-line replay
-// command.  The same seed always produces the same run, so that line is a
-// complete bug report.
+// Runs randomized workloads under the sim backend with optional fault
+// injection, checks the workload's invariant oracles, and on failure shrinks
+// the case and prints a one-line replay command.  The same seed always
+// produces the same run, so that line is a complete bug report.  Every flag,
+// shrink rule and replay line comes from the workload tables (see
+// converse/fuzz.h); a flag outside the selected workload's table is a usage
+// error.
 //
-// Usage:
-//   simfuzz [--seed N] [--seeds COUNT] [--start N]
-//           [--pes N] [--actions N] [--threads N]
-//           [--drop P] [--dup P] [--delay P] [--reorder P]
-//           [--agg] [--plant-bug] [--trace-hash] [--quiet]
+// Usage (simfuzz --help):
+//   simfuzz [--seed N] [--seeds COUNT] [--start N] [--pes N] [--actions N]
+//           [--threads N] [--drop P] [--dup P] [--delay P] [--reorder P]
+//           [--plant-bug] [--agg] [--trace-hash] [--quiet]
 //   simfuzz --race [--seed N] [--seeds COUNT] [--start N] [--pes N]
-//           [--chains N] [--hops N] [--plant-race | --plant-benign] [--quiet]
+//           [--chains N] [--hops N] [--plant-race] [--plant-benign] [--quiet]
+//   simfuzz --service [--seed N] [--seeds COUNT] [--start N] [--pes N]
+//           [--sessions N] [--workers N] [--requests N] [--rate R] [--qcap N]
+//           [--drop P] [--dup P] [--delay P] [--reorder P] [--plant-lost-reply]
+//           [--trace-hash] [--quiet]
+//   simfuzz --ldb [--seed N] [--seeds COUNT] [--start N] [--pes N]
+//           [--strategy N] [--lseeds N] [--waves N] [--prio-frac P] [--drop P]
+//           [--dup P] [--delay P] [--reorder P] [--plant-lost-steal-reply]
+//           [--trace-hash] [--quiet]
+//   simfuzz --transport [--seed N] [--seeds COUNT] [--start N] [--pes N]
+//           [--nodes N] [--actions N] [--disconnect P] [--lost N] [--agg]
+//           [--plant-lost] [--trace-hash] [--quiet]
 //
 // With --seeds COUNT, seeds start..start+COUNT-1 are run and the first
 // failure stops the sweep.  Otherwise a single seed is run: --seed, else
 // the CONVERSE_SIM_SEED environment variable, else 1.  --trace-hash prints
 // the run's event-trace hash (for determinism checks).  Exit status is 0
-// iff every run passed its oracles.
+// iff every run passed its oracles, 1 on a failing seed, 2 on a usage error.
 //
-// --race switches to the CciRace fuzz workload (causally ordered token
-// chains that must produce zero reports, optionally with a planted racy
-// pair that must be caught and classified; see converse/race.h).  It
-// requires a library built with -DCONVERSE_RACE=ON and exits 2 otherwise.
-//
-// --service switches to the request/response service workload
-// (converse/svc.h) checked against its request-conservation oracles: every
-// admitted request yields exactly one reply or one shed notice, timers
-// conserve, and total message flow balances against the injector's exact
-// drop/duplicate counts.  --plant-lost-reply plants a silently dropped
-// reply that the oracle must catch (the CI self-test).
-//
-// --ldb switches to the seed load-balancer workload (converse/cld.h): a
-// skewed, wave-structured seed burst run under one of the six CldStrategy
-// values (--strategy 0..5, or drawn from the seed when omitted), checked
-// against the balancer's conservation oracles — the stealable backlog
-// drains exactly, balancer+workload message flow balances against the
-// injector's counts, and on clean schedules every spawned seed executes
-// exactly once.  --plant-lost-steal-reply plants a silently dropped steal
-// reply whose packed seeds vanish; the oracles must catch and shrink it
-// (the CI self-test).
-//
-// --transport switches to the transport-layer workload
-// (converse/transport.h): a loopback multi-node machine whose inter-node
-// traffic crosses the virtual wire, with deterministic disconnect
-// injection, checked against wire conservation (delivered == sent -
-// wire_dropped; immediates never dropped).  --nodes picks the node count
-// (== --pes gives the socket one-PE-per-node shape), --disconnect /
-// --lost shape the injector, and --plant-lost plants a silent one-record
-// loss the oracle must catch (the CI self-test).
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-
+// The workloads (docs/TESTING.md has each one's oracles):
+//  * default: random handler graphs (converse/sim.h); --plant-bug plants a
+//    per-sender FIFO violation.
+//  * --race: causally ordered token chains that must produce zero CciRace
+//    reports, with a planted racy (--plant-race) or commutative
+//    (--plant-benign) pair that must be classified; needs a library built
+//    with -DCONVERSE_RACE=ON and exits 2 otherwise.
+//  * --service: the request/response service (converse/svc.h) under its
+//    request-conservation oracles; --plant-lost-reply drops a reply.
+//  * --ldb: a skewed seed burst under one of the six CldStrategy values
+//    (converse/cld.h; --strategy -1 draws it from the seed) under the
+//    balancer's conservation oracles; --plant-lost-steal-reply drops a
+//    steal reply and its seeds.
+//  * --transport: a loopback multi-node machine whose inter-node traffic
+//    crosses the virtual wire (converse/transport.h), with disconnect
+//    injection, under wire conservation; --plant-lost drops one record
+//    silently.
+// Each planted bug must be caught, shrunk and printed as a replay line (the
+// CI and ctest self-tests).
 #include "converse/cld.h"
+#include "converse/fuzz.h"
 #include "converse/sim.h"
 #include "converse/svc.h"
 #include "converse/transport.h"
 
-namespace {
-
-void Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--seed N] [--seeds COUNT] [--start N] [--pes N]\n"
-      "          [--actions N] [--threads N] [--drop P] [--dup P]\n"
-      "          [--delay P] [--reorder P] [--agg] [--plant-bug]\n"
-      "          [--trace-hash] [--quiet]\n"
-      "       %s --race [--seed N] [--seeds COUNT] [--start N] [--pes N]\n"
-      "          [--chains N] [--hops N] [--plant-race | --plant-benign]\n"
-      "          [--quiet]\n"
-      "       %s --service [--seed N] [--seeds COUNT] [--start N] [--pes N]\n"
-      "          [--sessions N] [--workers N] [--requests N] [--rate R]\n"
-      "          [--qcap N] [--drop P] [--dup P] [--delay P] [--reorder P]\n"
-      "          [--plant-lost-reply] [--trace-hash] [--quiet]\n"
-      "       %s --ldb [--seed N] [--seeds COUNT] [--start N] [--pes N]\n"
-      "          [--strategy 0..5] [--lseeds N] [--waves N] [--prio-frac F]\n"
-      "          [--drop P] [--dup P] [--delay P] [--reorder P]\n"
-      "          [--plant-lost-steal-reply] [--trace-hash] [--quiet]\n"
-      "       %s --transport [--seed N] [--seeds COUNT] [--start N]\n"
-      "          [--pes N] [--nodes N] [--actions N] [--disconnect P]\n"
-      "          [--lost N] [--agg] [--plant-lost] [--trace-hash] [--quiet]\n",
-      argv0, argv0, argv0, argv0, argv0);
-}
-
-bool RunOne(const converse::sim::FuzzParams& params, bool trace_hash,
-            bool quiet) {
-  converse::sim::FuzzResult res = converse::sim::RunFuzzCase(params);
-  if (trace_hash) {
-    std::printf("%016llx\n",
-                static_cast<unsigned long long>(res.report.trace_hash));
-  }
-  if (res.ok) {
-    if (!quiet) {
-      std::printf(
-          "seed %llu: ok (%llu events, %llu switches, virtual time %.0f us, "
-          "faults: %llu dropped, %llu duplicated, %llu delayed, "
-          "%llu reordered, agg: %llu frames / %llu batched)\n",
-          static_cast<unsigned long long>(params.seed),
-          static_cast<unsigned long long>(res.report.events),
-          static_cast<unsigned long long>(res.report.context_switches),
-          res.report.final_virtual_us,
-          static_cast<unsigned long long>(res.report.msgs_dropped),
-          static_cast<unsigned long long>(res.report.msgs_duplicated),
-          static_cast<unsigned long long>(res.report.msgs_delayed),
-          static_cast<unsigned long long>(res.report.msgs_reordered),
-          static_cast<unsigned long long>(res.report.agg_frames),
-          static_cast<unsigned long long>(res.report.agg_msgs_batched));
-    }
-    return true;
-  }
-  std::fprintf(stderr, "seed %llu: FAILED: %s\n",
-               static_cast<unsigned long long>(params.seed),
-               res.failure.c_str());
-  std::fprintf(stderr, "minimizing...\n");
-  const converse::sim::FuzzParams small = converse::sim::Minimize(params);
-  converse::sim::FuzzResult small_res = converse::sim::RunFuzzCase(small);
-  std::fprintf(stderr, "minimized failure: %s\n",
-               small_res.ok ? res.failure.c_str() : small_res.failure.c_str());
-  std::fprintf(stderr, "replay with:\n  %s\n",
-               converse::sim::FormatReplay(small_res.ok ? params : small)
-                   .c_str());
-  return false;
-}
-
-bool RunOneService(const converse::svc::SvcFuzzParams& params,
-                   bool trace_hash, bool quiet) {
-  converse::svc::SvcFuzzResult res = converse::svc::RunSvcFuzzCase(params);
-  if (trace_hash) {
-    std::printf("%016llx\n",
-                static_cast<unsigned long long>(res.report.trace_hash));
-  }
-  if (res.ok) {
-    if (!quiet) {
-      std::printf(
-          "seed %llu: ok (%llu requests: %llu completed, %llu shed, "
-          "virtual time %.0f us, faults: %llu dropped, %llu duplicated, "
-          "%llu delayed, %llu reordered)\n",
-          static_cast<unsigned long long>(params.seed),
-          static_cast<unsigned long long>(res.totals.requests_sent),
-          static_cast<unsigned long long>(res.totals.completed),
-          static_cast<unsigned long long>(res.totals.shed_queue +
-                                          res.totals.shed_deadline),
-          res.report.final_virtual_us,
-          static_cast<unsigned long long>(res.report.msgs_dropped),
-          static_cast<unsigned long long>(res.report.msgs_duplicated),
-          static_cast<unsigned long long>(res.report.msgs_delayed),
-          static_cast<unsigned long long>(res.report.msgs_reordered));
-    }
-    return true;
-  }
-  std::fprintf(stderr, "seed %llu: FAILED: %s\n",
-               static_cast<unsigned long long>(params.seed),
-               res.failure.c_str());
-  std::fprintf(stderr, "minimizing...\n");
-  const converse::svc::SvcFuzzParams small =
-      converse::svc::MinimizeSvc(params);
-  converse::svc::SvcFuzzResult small_res =
-      converse::svc::RunSvcFuzzCase(small);
-  std::fprintf(stderr, "minimized failure: %s\n",
-               small_res.ok ? res.failure.c_str()
-                            : small_res.failure.c_str());
-  std::fprintf(stderr, "replay with:\n  %s\n",
-               converse::svc::FormatSvcReplay(small_res.ok ? params : small)
-                   .c_str());
-  return false;
-}
-
-bool RunOneLdb(const converse::ldb::LdbFuzzParams& params, bool trace_hash,
-               bool quiet) {
-  converse::ldb::LdbFuzzResult res = converse::ldb::RunLdbFuzzCase(params);
-  if (trace_hash) {
-    std::printf("%016llx\n",
-                static_cast<unsigned long long>(res.report.trace_hash));
-  }
-  if (res.ok) {
-    if (!quiet) {
-      std::printf(
-          "seed %llu: ok (strategy %d, %llu seeds: %llu stolen, "
-          "%llu rebalanced, virtual time %.0f us, faults: %llu dropped, "
-          "%llu duplicated, %llu delayed, %llu reordered)\n",
-          static_cast<unsigned long long>(params.seed), res.strategy,
-          static_cast<unsigned long long>(res.spawned),
-          static_cast<unsigned long long>(res.totals.stolen_in),
-          static_cast<unsigned long long>(res.totals.rebalanced_out),
-          res.report.final_virtual_us,
-          static_cast<unsigned long long>(res.report.msgs_dropped),
-          static_cast<unsigned long long>(res.report.msgs_duplicated),
-          static_cast<unsigned long long>(res.report.msgs_delayed),
-          static_cast<unsigned long long>(res.report.msgs_reordered));
-    }
-    return true;
-  }
-  std::fprintf(stderr, "seed %llu: FAILED: %s\n",
-               static_cast<unsigned long long>(params.seed),
-               res.failure.c_str());
-  std::fprintf(stderr, "minimizing...\n");
-  const converse::ldb::LdbFuzzParams small =
-      converse::ldb::MinimizeLdb(params);
-  converse::ldb::LdbFuzzResult small_res =
-      converse::ldb::RunLdbFuzzCase(small);
-  std::fprintf(stderr, "minimized failure: %s\n",
-               small_res.ok ? res.failure.c_str()
-                            : small_res.failure.c_str());
-  std::fprintf(stderr, "replay with:\n  %s\n",
-               converse::ldb::FormatLdbReplay(small_res.ok ? params : small)
-                   .c_str());
-  return false;
-}
-
-bool RunOneTransport(const converse::transport::TransportFuzzParams& params,
-                     bool trace_hash, bool quiet) {
-  converse::transport::TransportFuzzResult res =
-      converse::transport::RunTransportFuzzCase(params);
-  if (trace_hash) {
-    std::printf("%016llx\n",
-                static_cast<unsigned long long>(res.report.trace_hash));
-  }
-  if (res.ok) {
-    if (!quiet) {
-      std::printf(
-          "seed %llu: ok (%d pes / %d nodes, %llu wire records, "
-          "%llu dropped, %llu reconnects, virtual time %.0f us)\n",
-          static_cast<unsigned long long>(params.seed), params.npes,
-          params.nnodes,
-          static_cast<unsigned long long>(res.wire_frames_sent),
-          static_cast<unsigned long long>(res.wire_dropped),
-          static_cast<unsigned long long>(res.wire_reconnects),
-          res.report.final_virtual_us);
-    }
-    return true;
-  }
-  std::fprintf(stderr, "seed %llu: FAILED: %s\n",
-               static_cast<unsigned long long>(params.seed),
-               res.failure.c_str());
-  std::fprintf(stderr, "minimizing...\n");
-  const converse::transport::TransportFuzzParams small =
-      converse::transport::MinimizeTransport(params);
-  converse::transport::TransportFuzzResult small_res =
-      converse::transport::RunTransportFuzzCase(small);
-  std::fprintf(stderr, "minimized failure: %s\n",
-               small_res.ok ? res.failure.c_str()
-                            : small_res.failure.c_str());
-  std::fprintf(
-      stderr, "replay with:\n  %s\n",
-      converse::transport::FormatTransportReplay(small_res.ok ? params
-                                                              : small)
-          .c_str());
-  return false;
-}
-
-bool RunOneRace(const converse::sim::RaceFuzzParams& params, bool quiet) {
-  converse::sim::RaceFuzzResult res = converse::sim::RunRaceFuzzCase(params);
-  if (res.ok) {
-    if (!quiet) {
-      std::printf(
-          "seed %llu: ok (%d candidate(s): %d divergent, %d benign, "
-          "%d unreplayable)\n",
-          static_cast<unsigned long long>(params.seed), res.candidates,
-          res.divergent, res.benign, res.unreplayable);
-    }
-    return true;
-  }
-  std::fprintf(stderr, "seed %llu: FAILED: %s\n",
-               static_cast<unsigned long long>(params.seed),
-               res.failure.c_str());
-  std::fprintf(stderr, "replay with:\n  %s\n",
-               converse::sim::FormatRaceReplay(params).c_str());
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  converse::sim::FuzzParams params;
-  converse::sim::RaceFuzzParams race_params;
-  converse::svc::SvcFuzzParams svc_params;
-  converse::ldb::LdbFuzzParams ldb_params;
-  converse::transport::TransportFuzzParams tr_params;
-  unsigned long long seeds = 1, start = 1;
-  bool explicit_seed = false, sweep = false;
-  bool trace_hash = false, quiet = false, race = false, service = false;
-  bool ldb = false, transport = false;
-
-  if (const char* env = std::getenv("CONVERSE_SIM_SEED")) {
-    params.seed = std::strtoull(env, nullptr, 10);
-    explicit_seed = true;
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                     arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--seed") {
-      params.seed = std::strtoull(next(), nullptr, 10);
-      explicit_seed = true;
-    } else if (arg == "--seeds") {
-      seeds = std::strtoull(next(), nullptr, 10);
-      sweep = true;
-    } else if (arg == "--start") {
-      start = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--pes") {
-      params.npes = std::atoi(next());
-      race_params.npes = params.npes;
-      svc_params.npes = params.npes;
-      ldb_params.npes = params.npes;
-      tr_params.npes = params.npes;
-    } else if (arg == "--actions") {
-      params.actions = std::atoi(next());
-      tr_params.actions = params.actions;
-    } else if (arg == "--threads") {
-      params.threads = std::atoi(next());
-    } else if (arg == "--drop") {
-      params.faults.drop = std::atof(next());
-      svc_params.faults.drop = params.faults.drop;
-      ldb_params.faults.drop = params.faults.drop;
-    } else if (arg == "--dup") {
-      params.faults.dup = std::atof(next());
-      svc_params.faults.dup = params.faults.dup;
-      ldb_params.faults.dup = params.faults.dup;
-    } else if (arg == "--delay") {
-      params.faults.delay = std::atof(next());
-      svc_params.faults.delay = params.faults.delay;
-      ldb_params.faults.delay = params.faults.delay;
-    } else if (arg == "--reorder") {
-      params.faults.reorder = std::atof(next());
-      svc_params.faults.reorder = params.faults.reorder;
-      ldb_params.faults.reorder = params.faults.reorder;
-    } else if (arg == "--ldb") {
-      ldb = true;
-    } else if (arg == "--strategy") {
-      ldb_params.strategy = std::atoi(next());
-    } else if (arg == "--lseeds") {
-      ldb_params.seeds_per_pe = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--waves") {
-      ldb_params.waves = std::atoi(next());
-    } else if (arg == "--prio-frac") {
-      ldb_params.prio_fraction = std::atof(next());
-    } else if (arg == "--plant-lost-steal-reply") {
-      ldb_params.plant_lost_steal_reply = true;
-    } else if (arg == "--service") {
-      service = true;
-    } else if (arg == "--sessions") {
-      svc_params.sessions = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--workers") {
-      svc_params.workers = std::atoi(next());
-    } else if (arg == "--requests") {
-      svc_params.requests_per_pe = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--rate") {
-      svc_params.rate_per_pe = std::atof(next());
-    } else if (arg == "--qcap") {
-      svc_params.queue_cap =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--plant-lost-reply") {
-      svc_params.plant_lost_reply = true;
-    } else if (arg == "--transport") {
-      transport = true;
-    } else if (arg == "--nodes") {
-      tr_params.nnodes = std::atoi(next());
-    } else if (arg == "--disconnect") {
-      tr_params.disconnect_rate = std::atof(next());
-    } else if (arg == "--lost") {
-      tr_params.disconnect_lost = std::atoi(next());
-    } else if (arg == "--plant-lost") {
-      tr_params.plant_lost = true;
-    } else if (arg == "--agg") {
-      params.aggregate = true;
-      tr_params.aggregate = true;
-    } else if (arg == "--plant-bug") {
-      params.plant_reorder_bug = true;
-    } else if (arg == "--race") {
-      race = true;
-    } else if (arg == "--chains") {
-      race_params.chains = std::atoi(next());
-    } else if (arg == "--hops") {
-      race_params.hops = std::atoi(next());
-    } else if (arg == "--plant-race") {
-      race_params.plant = 1;
-    } else if (arg == "--plant-benign") {
-      race_params.plant = 2;
-    } else if (arg == "--trace-hash") {
-      trace_hash = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "%s: unknown option %s\n", argv[0], arg.c_str());
-      Usage(argv[0]);
-      return 2;
-    }
-  }
-  if (params.npes < 1 || params.actions < 0 || params.threads < 0) {
-    std::fprintf(stderr, "%s: invalid --pes/--actions/--threads\n", argv[0]);
-    return 2;
-  }
-  if (race && !converse::sim::RaceFuzzAvailable()) {
-    std::fprintf(stderr,
-                 "%s: --race needs the CciRace detector; rebuild with "
-                 "-DCONVERSE_RACE=ON\n",
-                 argv[0]);
-    return 2;
-  }
-  if (race && (race_params.chains < 0 || race_params.hops < 1)) {
-    std::fprintf(stderr, "%s: invalid --chains/--hops\n", argv[0]);
-    return 2;
-  }
-  if (static_cast<int>(race) + static_cast<int>(service) +
-          static_cast<int>(ldb) + static_cast<int>(transport) > 1) {
-    std::fprintf(stderr,
-                 "%s: --race, --service, --ldb and --transport are "
-                 "exclusive\n",
-                 argv[0]);
-    return 2;
-  }
-  if (transport &&
-      (tr_params.nnodes < 1 || tr_params.disconnect_rate < 0 ||
-       tr_params.disconnect_rate > 1 || tr_params.disconnect_lost < 1)) {
-    std::fprintf(stderr, "%s: invalid --nodes/--disconnect/--lost\n",
-                 argv[0]);
-    return 2;
-  }
-  if (service && (svc_params.workers < 1 || svc_params.sessions < 1 ||
-                  svc_params.rate_per_pe <= 0)) {
-    std::fprintf(stderr, "%s: invalid --workers/--sessions/--rate\n",
-                 argv[0]);
-    return 2;
-  }
-  if (ldb && (ldb_params.waves < 1 || ldb_params.seeds_per_pe < 1 ||
-              ldb_params.strategy >= converse::kCldStrategyCount ||
-              ldb_params.prio_fraction < 0 || ldb_params.prio_fraction > 1)) {
-    std::fprintf(stderr, "%s: invalid --waves/--lseeds/--strategy/--prio-frac\n",
-                 argv[0]);
-    return 2;
-  }
-
-  if (!sweep) {
-    race_params.seed = params.seed;
-    svc_params.seed = params.seed;
-    ldb_params.seed = params.seed;
-    tr_params.seed = params.seed;
-    if (race) return RunOneRace(race_params, quiet) ? 0 : 1;
-    if (service) return RunOneService(svc_params, trace_hash, quiet) ? 0 : 1;
-    if (ldb) return RunOneLdb(ldb_params, trace_hash, quiet) ? 0 : 1;
-    if (transport) return RunOneTransport(tr_params, trace_hash, quiet) ? 0 : 1;
-    return RunOne(params, trace_hash, quiet) ? 0 : 1;
-  }
-  if (explicit_seed) start = params.seed;
-  for (unsigned long long s = start; s < start + seeds; ++s) {
-    params.seed = s;
-    race_params.seed = s;
-    svc_params.seed = s;
-    ldb_params.seed = s;
-    tr_params.seed = s;
-    if (race) {
-      if (!RunOneRace(race_params, quiet)) return 1;
-    } else if (service) {
-      if (!RunOneService(svc_params, trace_hash, quiet)) return 1;
-    } else if (ldb) {
-      if (!RunOneLdb(ldb_params, trace_hash, quiet)) return 1;
-    } else if (transport) {
-      if (!RunOneTransport(tr_params, trace_hash, quiet)) return 1;
-    } else if (!RunOne(params, trace_hash, quiet)) {
-      return 1;
-    }
-  }
-  if (!quiet) {
-    std::printf("all %llu seeds passed\n", seeds);
-  }
-  return 0;
+  return converse::fuzz::Main(argc, argv, converse::sim::FuzzWorkload(),
+                              converse::sim::RaceFuzzWorkload(),
+                              converse::svc::SvcFuzzWorkload(),
+                              converse::ldb::LdbFuzzWorkload(),
+                              converse::transport::TransportFuzzWorkload());
 }
