@@ -91,6 +91,7 @@ namespace detail::check {
 // Hot-path hooks, called from the core runtime.  Real implementations live
 // in src/check/check.cpp.
 void OnAlloc(void* msg, std::size_t nbytes);
+void OnFreeProbe(const void* msg);  // double free? (before any header read)
 void OnFree(void* msg);           // validate + poison; caller deletes after
 void OnReclaim(void* msg);        // machine-layer teardown free: skip checks
 void OnCopyReset(void* msg);      // CopyMessage rewrote the header flags
@@ -109,6 +110,7 @@ void CheckInsidePe(const void* where);
 #else
 
 inline void OnAlloc(void*, std::size_t) {}
+inline void OnFreeProbe(const void*) {}
 inline void OnFree(void*) {}
 inline void OnReclaim(void*) {}
 inline void OnCopyReset(void*) {}

@@ -225,7 +225,7 @@ struct CmiStats {
   std::uint64_t wire_frames_sent = 0;     // wire records this PE created
   std::uint64_t wire_bytes_sent = 0;      // record header + body bytes
   std::uint64_t wire_bytes_received = 0;  // node: body bytes parsed off wire
-  std::uint64_t wire_syscalls = 0;        // node: writev/read data syscalls
+  std::uint64_t wire_syscalls = 0;        // node: data sendmsgs, every read
   std::uint64_t wire_reconnects = 0;      // node: re-established peer links
   std::uint64_t wire_dropped = 0;  // node: logical msgs lost to injected
                                    // disconnects (loopback wire only)

@@ -172,6 +172,22 @@ void OnAlloc(void* msg, std::size_t nbytes) {
   // CmiAlloc just wrote a fresh header (flags = 0 == kStOwned).
 }
 
+void OnFreeProbe(const void* msg) {
+  Registry& r = Reg();
+  std::scoped_lock lk(r.mu);
+  void* p = const_cast<void*>(msg);
+  if (r.live.count(p) != 0 || r.freed.count(p) == 0) return;
+  // A shared-broadcast view is never registered: it lies inside its live
+  // block, and a freed entry at its address is a stale neighbour's.  Views
+  // skip the ownership diagnostics, so leave this one to CmiFree.
+  const auto addr = reinterpret_cast<std::uintptr_t>(msg);
+  for (const auto& [base, bytes] : r.live) {
+    const auto lo = reinterpret_cast<std::uintptr_t>(base);
+    if (lo < addr && addr < lo + bytes) return;
+  }
+  Violate(CciRule::kDoubleFree, msg, "CmiFree of an already-freed message");
+}
+
 void OnFree(void* msg) {
   {
     Registry& r = Reg();

@@ -205,9 +205,9 @@ void FlushPendingMmi(PeState& pe) {
 
 // ---- lock-free delivery lanes -------------------------------------------
 //
-// The common send path is LanePush's first branch: one plain cell store
-// plus one seq_cst tail store on the sender's own SPSC ring, no mutex and
-// no index shared with other senders.  The overflow deque (and the sticky
+// The common send path is LanePush's first branch: one seq_cst cell store
+// on the sender's own SPSC ring, no mutex and no index shared with the
+// consumer or with other senders.  The overflow deque (and the sticky
 // overflow_count protocol documented in pe_state.h) exists so the bounded
 // ring is a throughput knob rather than a correctness limit.
 
@@ -252,8 +252,9 @@ DataLane& LaneFor(PeState& dst, DataLane*& cached) {
 }
 
 /// Producer side: wake `dst` if its thread is parked in WaitForNet.  Must
-/// run after the message is published (ring tail store/CAS or overflow
-/// count bump — all seq_cst, pairing with the consumer's parked store).
+/// run after the message is published (data-ring cell store, immediate-
+/// ring tail CAS or overflow count bump — all seq_cst, pairing with the
+/// consumer's parked store).
 void NotifyIfParked(PeState& dst) {
   if (dst.parked.load(std::memory_order_seq_cst)) {
     std::scoped_lock lk(dst.mu);
@@ -690,7 +691,7 @@ void WaitForNet(PeState& pe) {
     std::this_thread::yield();
   }
   // Park.  The seq_cst parked store before the final deliverability probe
-  // pairs with the producers' seq_cst publish (data-lane tail store,
+  // pairs with the producers' seq_cst publish (data-lane cell store,
   // immediate-ring tail CAS, overflow count bump) followed by their parked
   // load, and the seq_cst lane-count load in HasRegular sees every lane
   // registered before that publish: in every interleaving either we see

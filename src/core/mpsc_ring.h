@@ -1,13 +1,15 @@
 // Bounded lock-free delivery rings — the cross-PE delivery fast path.
 //
 // SpscRing: one producer, one consumer.  Every regular (data) lane is one
-// of these per producer -> consumer pair (see DataLane in pe_state.h), so
-// senders into one PE never write a shared index: a push is a plain cell
-// store plus one seq_cst tail store, a pop is a plain cell load plus one
-// release head store.  Each side caches the other's index and re-reads it
-// only when its cache says full (producer) or empty (consumer), so in
-// steady state a push touches no line the consumer writes and a pop
-// touches no line the producer writes, apart from the cells themselves.
+// of these per producer -> consumer pair (see DataLane in pe_state.h).  It
+// is the FastForward queue (Giacomoni, Moseley and Vachharajani, PPoPP
+// 2008): there are no shared indices, and a non-null cell is the publish
+// flag.  The producer's tail and the consumer's head are private to their
+// sides, on separate lines, and neither side ever reads the other's.  A
+// push finds its cell null and stores the message pointer into it; a pop
+// finds its cell non-null and stores null back.  So a message moves one
+// line per side (the cell's), and an empty poll reads only the line the
+// next message will land in.
 //
 // MpscRing: Vyukov's bounded multi-producer queue specialised to one
 // consumer, kept for the rarely used immediate lane: every cell carries a
@@ -22,13 +24,13 @@
 //    receiving PE's thread, or the machine teardown path after all PE
 //    threads have joined).
 //
-// The tail publish (SpscRing's tail store, MpscRing's tail CAS) is seq_cst
-// on purpose: it is one half of the Dekker pair with the consumer's
-// `parked` flag (see WaitForNet in machine.cpp) — the producer's publish
-// and the consumer's park announcement must be globally ordered so that
-// either the producer sees `parked` and notifies, or the consumer sees the
-// new tail and never sleeps.  HasItems' tail load is seq_cst for the same
-// reason.
+// The publish (SpscRing's cell store, MpscRing's tail CAS) is seq_cst on
+// purpose: it is one half of the Dekker pair with the consumer's `parked`
+// flag (see WaitForNet in machine.cpp) — the producer's publish and the
+// consumer's park announcement must be globally ordered so that either the
+// producer sees `parked` and notifies, or the consumer sees the published
+// message and never sleeps.  HasItems' load (SpscRing's head cell,
+// MpscRing's tail) is seq_cst for the same reason.
 //
 // MpscRing only: when a producer has claimed a cell but not yet published
 // it (the two instructions between the CAS and the release store), the
@@ -60,62 +62,58 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Allocate the cell array.  `capacity` is rounded up to a power of two
-  /// (minimum 4).  Must be called before any push/pop.
+  /// Allocate the cell array, every cell null.  `capacity` is rounded up to
+  /// a power of two (minimum 4).  Must be called before any push/pop.
   void Init(std::size_t capacity) {
     const std::size_t cap = RingSlots(capacity);
     mask_ = cap - 1;
-    cells_ = std::make_unique<void*[]>(cap);
-    tail_.store(0, std::memory_order_relaxed);
-    head_cache_ = 0;
-    head_.store(0, std::memory_order_relaxed);
-    tail_cache_ = 0;
+    cells_ = std::make_unique<std::atomic<void*>[]>(cap);
+    for (std::size_t i = 0; i < cap; ++i) {
+      cells_[i].store(nullptr, std::memory_order_relaxed);
+    }
+    tail_ = 0;
+    head_ = 0;
   }
 
   std::size_t capacity() const { return mask_ + 1; }
 
   /// Producer side: false when the ring is full (caller takes the overflow
-  /// slow path).
+  /// slow path).  `msg` must not be null: null marks an empty cell.
   bool TryPush(void* msg) {
-    const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-    if (pos - head_cache_ > mask_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (pos - head_cache_ > mask_) return false;
-    }
-    cells_[pos & mask_] = msg;
-    tail_.store(pos + 1, std::memory_order_seq_cst);
+    assert(msg != nullptr);
+    std::atomic<void*>& cell = cells_[tail_ & mask_];
+    // Still holding the message pushed a lap ago: full.  Relaxed suffices:
+    // the consumer hands back only the slot, and the store below is to the
+    // same cell, so it cannot land before the consumer's null.
+    if (cell.load(std::memory_order_relaxed) != nullptr) return false;
+    cell.store(msg, std::memory_order_seq_cst);
+    ++tail_;
     return true;
   }
 
   /// Consumer side: next message, or nullptr when the ring is empty.
   void* TryPop() {
-    const std::uint64_t pos = head_.load(std::memory_order_relaxed);
-    if (pos == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (pos == tail_cache_) return nullptr;
-    }
-    void* msg = cells_[pos & mask_];
-    head_.store(pos + 1, std::memory_order_release);
+    std::atomic<void*>& cell = cells_[head_ & mask_];
+    void* msg = cell.load(std::memory_order_acquire);
+    if (msg == nullptr) return nullptr;
+    cell.store(nullptr, std::memory_order_release);
+    ++head_;
     return msg;
   }
 
   /// Consumer side: true when at least one message is published.
   bool HasItems() const {
-    const std::uint64_t pos = head_.load(std::memory_order_relaxed);
-    return pos != tail_cache_ ||
-           tail_.load(std::memory_order_seq_cst) != pos;
+    return cells_[head_ & mask_].load(std::memory_order_seq_cst) != nullptr;
   }
 
  private:
   // Read-only after Init.
-  std::unique_ptr<void*[]> cells_;
+  std::unique_ptr<std::atomic<void*>[]> cells_;
   std::size_t mask_ = 0;
-  // Producer-written line: the tail it publishes and its cached head.
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
-  std::uint64_t head_cache_ = 0;
-  // Consumer-written line: the head it publishes and its cached tail.
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  std::uint64_t tail_cache_ = 0;
+  // Producer-private: the next cell to fill.
+  alignas(64) std::uint64_t tail_ = 0;
+  // Consumer-private: the next cell to drain.
+  alignas(64) std::uint64_t head_ = 0;
 };
 
 class MpscRing {

@@ -36,6 +36,9 @@ void* CmiAlloc(std::size_t nbytes) {
 
 void CmiFree(void* msg) {
   if (msg == nullptr) return;
+  // Before the flags read: a second free of a block already handed back to
+  // the heap must be reported, not read.
+  detail::check::OnFreeProbe(msg);
   {
     const std::uint8_t flags = detail::Header(msg)->flags;
     if ((flags & detail::kMsgFlagShared) != 0) {

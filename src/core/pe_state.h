@@ -159,8 +159,9 @@ struct PeState {
   std::atomic<int> nlanes{0};  // seq_cst: read by WaitForNet's last probe
   // True while this PE's thread is (about to be) blocked in WaitForNet.
   // Producers check it after publishing and only then pay for the
-  // lock+notify; the seq_cst Dekker pairing with the rings' tail publish
-  // (see mpsc_ring.h) guarantees no lost wakeup.
+  // lock+notify; the seq_cst Dekker pairing with the rings' publish (the
+  // data ring's cell store, the immediate ring's tail CAS; see
+  // mpsc_ring.h) guarantees no lost wakeup.
   std::atomic<bool> parked{false};
 
   // ---- producer-locked: the mutex, and what it guards ----

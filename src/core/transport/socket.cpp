@@ -571,13 +571,13 @@ class SocketEngine : public Transport {
   void ReadPending(std::size_t k) {
     Pending& c = pending_[k];
     const ssize_t n = read(c.fd, c.hello + c.have, kWireRecBytes - c.have);
+    syscalls_.fetch_add(1, std::memory_order_relaxed);
     if (n <= 0) {
       if (n < 0 && (errno == EAGAIN || errno == EINTR)) return;
       close(c.fd);
       c.fd = -1;
       return;
     }
-    syscalls_.fetch_add(1, std::memory_order_relaxed);
     c.have += static_cast<std::uint32_t>(n);
     if (c.have < kWireRecBytes) return;  // hello still partial
     WireRec rec;
@@ -603,20 +603,24 @@ class SocketEngine : public Transport {
 
   /// One readv on a peer stream, retrying EINTR.  Returns the bytes read,
   /// or -1 when the caller should stop reading: EAGAIN, or the stream went
-  /// down (and was torn down here).
+  /// down (and was torn down here).  Every readv counts as a syscall, the
+  /// ones that read nothing included.
   ssize_t ReadStream(int node, Peer& p, iovec* iov, int cnt) {
     for (;;) {
       const ssize_t n = readv(p.fd, iov, cnt);
-      if (n > 0) {
-        syscalls_.fetch_add(1, std::memory_order_relaxed);
-        return n;
-      }
+      syscalls_.fetch_add(1, std::memory_order_relaxed);
+      if (n > 0) return n;
       if (n < 0 && errno == EINTR) continue;
       if (n == 0 || errno != EAGAIN) OnStreamDown(node, p);
       return -1;
     }
   }
 
+  /// Read `p`'s stream until a read comes back short.  A short read means
+  /// the socket had no more bytes, and every state it can leave (a partial
+  /// body, header or record) waits for more, so the next read would only
+  /// return EAGAIN: return to poll instead, and resume from `p` on the next
+  /// readable event.
   void ReadPeer(int node, Peer& p) {
     for (;;) {
       if (p.rx_msg != nullptr) {
@@ -634,6 +638,7 @@ class SocketEngine : public Transport {
         p.rx_off += static_cast<std::uint32_t>(body);
         p.rx_hdr_have = static_cast<std::uint32_t>(n - body);
         if (p.rx_off == p.rx_len) FinishDirectFill(p);
+        if (p.rx_hdr_have < kWireRecBytes) return;  // short read
         continue;
       }
 
@@ -643,7 +648,7 @@ class SocketEngine : public Transport {
           const ssize_t n = ReadStream(node, p, &iov, 1);
           if (n < 0) return;
           p.rx_hdr_have += static_cast<std::uint32_t>(n);
-          if (p.rx_hdr_have < kWireRecBytes) continue;
+          if (p.rx_hdr_have < kWireRecBytes) return;  // short read
         }
         if (!TakeHeader(node, p)) return;
         continue;
@@ -659,9 +664,7 @@ class SocketEngine : public Transport {
       if (!FeedBytes(node, p, chunk, carry + static_cast<std::size_t>(n))) {
         return;
       }
-      if (static_cast<std::size_t>(n) < iov.iov_len && p.rx_msg == nullptr) {
-        return;
-      }
+      if (static_cast<std::size_t>(n) < iov.iov_len) return;  // short read
     }
   }
 

@@ -405,29 +405,40 @@ TEST(LdbStress, BranchAndBoundTreeConservesUnderStealing) {
 
 // ---------------------------------------------------------------------------
 // Determinism: same sim seed, same trace, same placements — agg off and on.
+// Each aggregation mode is its own test, so neither half waits on the
+// other under ctest's per-test time limit.
 // ---------------------------------------------------------------------------
 
 class LdbDeterminism : public ::testing::TestWithParam<CldStrategy> {};
 
+namespace {
+
+void ExpectSameSeedSameRun(CldStrategy strategy, int agg) {
+  StressCase sc;
+  sc.strategy = strategy;
+  sc.npes = 6;
+  sc.total_seeds = 30000 / static_cast<std::uint64_t>(ScaleDivisor()) * 6;
+  sc.waves = 3;
+  sc.sim_seed = 77;
+  sc.aggregate = agg;
+  const StressResult a = RunStress(sc);
+  const StressResult b = RunStress(sc);
+  EXPECT_EQ(a.report.trace_hash, b.report.trace_hash);
+  EXPECT_EQ(a.report.outcome_hash, b.report.outcome_hash);
+  EXPECT_EQ(a.PlacementDigest(), b.PlacementDigest());
+  EXPECT_EQ(a.executed, b.executed);
+  EXPECT_EQ(a.report.final_virtual_us, b.report.final_virtual_us);
+  ExpectConserved(sc, a);
+}
+
+}  // namespace
+
 TEST_P(LdbDeterminism, SameSeedSameTraceAndPlacement) {
-  for (const int agg : {0, 1}) {
-    StressCase sc;
-    sc.strategy = GetParam();
-    sc.npes = 6;
-    sc.total_seeds = 30000 / static_cast<std::uint64_t>(ScaleDivisor()) * 6;
-    sc.waves = 3;
-    sc.sim_seed = 77;
-    sc.aggregate = agg;
-    const StressResult a = RunStress(sc);
-    const StressResult b = RunStress(sc);
-    EXPECT_EQ(a.report.trace_hash, b.report.trace_hash) << "agg=" << agg;
-    EXPECT_EQ(a.report.outcome_hash, b.report.outcome_hash) << "agg=" << agg;
-    EXPECT_EQ(a.PlacementDigest(), b.PlacementDigest()) << "agg=" << agg;
-    EXPECT_EQ(a.executed, b.executed) << "agg=" << agg;
-    EXPECT_EQ(a.report.final_virtual_us, b.report.final_virtual_us)
-        << "agg=" << agg;
-    ExpectConserved(sc, a);
-  }
+  ExpectSameSeedSameRun(GetParam(), /*agg=*/0);
+}
+
+TEST_P(LdbDeterminism, SameSeedSameTraceAndPlacementAggregated) {
+  ExpectSameSeedSameRun(GetParam(), /*agg=*/1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Adaptive, LdbDeterminism,

@@ -897,7 +897,7 @@ long WakeStorm(int npes, long round_trips) {
 }  // namespace
 
 TEST(StressLanes, WakeStormTwoPesNeverLosesAWakeup) {
-  // The lost-wakeup oracle for the lane tail store / `parked` Dekker pair:
+  // The lost-wakeup oracle for the lane cell store / `parked` Dekker pair:
   // every round trip blocks PE 0, every other one provably parks it, and
   // the reply must wake it every time.
   const long kRoundTrips = 200000 / SanitizerDivisor();
@@ -909,4 +909,108 @@ TEST(StressLanes, WakeStormFourPesNeverLosesAWakeup) {
   // for two round trips between pings and is parked when its ping lands.
   const long kRoundTrips = 200000 / SanitizerDivisor();
   EXPECT_EQ(WakeStorm(4, kRoundTrips), kRoundTrips / 2);
+}
+
+// ---- the SPSC ring itself ---------------------------------------------------
+//
+// detail::SpscRing has no shared index: a non-null cell is a published
+// message and a null one a free slot.  The ring never dereferences what it
+// carries, so these tests push numbered non-null tokens.
+
+namespace {
+
+void* Token(std::uint64_t n) {
+  return reinterpret_cast<void*>(static_cast<std::uintptr_t>(n) * 16);
+}
+
+}  // namespace
+
+TEST(SpscRing, FullAtExactlyCapacity) {
+  for (const std::size_t asked : {1u, 4u, 5u, 64u, 1000u}) {
+    detail::SpscRing ring;
+    ring.Init(asked);
+    const std::size_t cap = ring.capacity();
+    EXPECT_EQ(cap, detail::RingSlots(asked));
+    EXPECT_FALSE(ring.HasItems());
+    for (std::size_t i = 0; i < cap; ++i) {
+      ASSERT_TRUE(ring.TryPush(Token(i + 1))) << "asked " << asked;
+    }
+    EXPECT_FALSE(ring.TryPush(Token(cap + 1))) << "asked " << asked;
+    // One pop frees exactly one slot.
+    EXPECT_EQ(ring.TryPop(), Token(1));
+    EXPECT_TRUE(ring.TryPush(Token(cap + 1)));
+    EXPECT_FALSE(ring.TryPush(Token(cap + 2)));
+    for (std::size_t i = 1; i <= cap; ++i) {
+      ASSERT_EQ(ring.TryPop(), Token(i + 1));
+    }
+    EXPECT_EQ(ring.TryPop(), nullptr);
+    EXPECT_FALSE(ring.HasItems());
+  }
+}
+
+TEST(SpscRing, FifoOverThousandsOfWrapsAndHasItemsAgreesWithTryPop) {
+  detail::SpscRing ring;
+  ring.Init(4);
+  const std::uint64_t cap = ring.capacity();
+  constexpr std::uint64_t kLaps = 3000;
+  util::Xoshiro256 rng(21);
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  while (popped < kLaps * cap) {
+    // Fill by a random amount (possibly to full), then drain by a random
+    // amount (possibly to empty), so head and tail meet at every offset.
+    for (std::uint64_t k = rng.Below(cap + 1); k > 0; --k) {
+      if (!ring.TryPush(Token(pushed + 1))) {
+        EXPECT_EQ(pushed - popped, cap) << "refused before full";
+        break;
+      }
+      ++pushed;
+    }
+    for (std::uint64_t k = rng.Below(cap + 1); k > 0; --k) {
+      const bool has = ring.HasItems();
+      void* msg = ring.TryPop();
+      ASSERT_EQ(has, msg != nullptr) << "after " << popped << " pops";
+      if (msg == nullptr) {
+        ASSERT_EQ(pushed, popped);
+        break;
+      }
+      ASSERT_EQ(msg, Token(popped + 1)) << "FIFO broken";
+      ++popped;
+    }
+  }
+  EXPECT_GT(popped / cap, 1000u);
+}
+
+TEST(SpscRing, TwoThreadSoakKeepsSequence) {
+  // A 4-slot ring keeps the producer on the consumer's heels, so nearly
+  // every push lands in a cell the consumer has just cleared.
+  const std::uint64_t kMsgs =
+      10'000'000 / static_cast<std::uint64_t>(SanitizerDivisor());
+  detail::SpscRing ring;
+  ring.Init(4);
+  std::thread producer([&] {
+    for (std::uint64_t i = 1; i <= kMsgs; ++i) {
+      while (!ring.TryPush(Token(i))) std::this_thread::yield();
+    }
+  });
+  // Drain all kMsgs even after a fault, so the producer never blocks on a
+  // full ring and the join below cannot hang.
+  std::uint64_t out_of_order = 0;
+  std::uint64_t has_but_empty = 0;
+  for (std::uint64_t next = 1; next <= kMsgs;) {
+    // Only the consumer pops, so a published cell stays published.
+    const bool has = ring.HasItems();
+    void* msg = ring.TryPop();
+    if (msg == nullptr) {
+      if (has) ++has_but_empty;
+      std::this_thread::yield();
+      continue;
+    }
+    if (msg != Token(next)) ++out_of_order;
+    ++next;
+  }
+  producer.join();
+  EXPECT_EQ(out_of_order, 0u) << "a token arrived out of sequence";
+  EXPECT_EQ(has_but_empty, 0u) << "HasItems saw a message TryPop did not";
+  EXPECT_EQ(ring.TryPop(), nullptr);
 }
