@@ -4,14 +4,21 @@
 // streams carrying the length-prefixed records of core/transport/wire.h.
 //
 // Threading model: ONE comm thread per node (the "one comm drain" of the
-// two-level SMP design).  PE threads never touch a socket — SendRemote /
-// SendNodeCast serialize the record into a per-peer outbox under one
-// engine mutex and poke a wake pipe; the comm thread gathers queued
-// records with sendmsg (many records per syscall — aggregation frames are
-// the wire unit, so one syscall often moves hundreds of logical
-// messages), reads the peer streams, and injects rebuilt messages straight
-// onto the destination PE's delivery lane (DeliverFromWire) or expands
-// node-cast records (CstNodeCastExpand).
+// two-level SMP design) owns reads, hello/goodbye, reconnects and any
+// backlog; the sending thread owns the common case.  SendRemote /
+// SendNodeCast take the engine mutex, and when the peer's stream is up
+// and its outbox is empty they hand the record to the kernel themselves
+// with one gathered sendmsg (header + body, no staging copy): nothing is
+// queued that the record could overtake, so per-sender FIFO holds.  Only
+// bytes the kernel does not take go into the per-peer outbox, and only
+// then is the wake pipe poked; the comm thread drains that backlog on
+// POLLOUT, gathering many queued records per sendmsg (aggregation frames
+// are the wire unit, so one syscall often moves hundreds of logical
+// messages).  It also reads the peer streams and injects rebuilt messages
+// straight onto the destination PE's delivery lane (DeliverFromWire) or
+// expands node-cast records (CstNodeCastExpand).  Peer::fd is written
+// only under the engine mutex, and a dialed fd is published only once its
+// hello is written and it is non-blocking.
 //
 // Receive rule: small records are read in 256 KiB chunks and parsed in
 // place; a message body of at least kGatherMinBytes is read() straight
@@ -73,22 +80,53 @@
 namespace converse::detail {
 namespace {
 
-/// One wire record (header + body) waiting in an outbox; `off` tracks
-/// partial sendmsg progress on the deque's front element.  Small records
-/// are fully serialized into `data`; large ones keep only the 16-byte
-/// header there and gather the body straight out of the owned message
-/// (`msg`), which is freed once the record has fully left the kernel —
-/// the sendmsg iovec is the zero-copy boundary, not a staging memcpy.
+/// One wire record waiting in an outbox: its encoded header inline, and a
+/// body that is either a copy (`copy`, small records) or an owned message
+/// (`msg`, at least kGatherMinBytes) that sendmsg gathers straight from
+/// and that is freed once the record has fully left the kernel — the
+/// sendmsg iovec is the zero-copy boundary, not a staging memcpy.  `off`
+/// counts progress over header + body, so a reconnect can rewind the
+/// record to its start.
 struct OutBuf {
-  std::vector<unsigned char> data;
-  void* msg = nullptr;       // owned message backing the body (or null)
-  std::size_t msg_len = 0;   // body bytes inside *msg
-  std::size_t off = 0;       // progress over data + msg body
-  std::size_t size() const { return data.size() + msg_len; }
+  unsigned char hdr[kWireRecBytes] = {};
+  std::vector<unsigned char> copy;  // small body (empty when msg is set)
+  void* msg = nullptr;              // owned message backing the body
+  std::uint32_t len = 0;            // body bytes
+  std::size_t off = 0;
+  const void* body() const {
+    return msg != nullptr ? msg : static_cast<const void*>(copy.data());
+  }
 };
 
-/// Per-peer connection state.  fd/parser/flags are comm-thread-only;
-/// `outbox` is shared with PE threads under SocketEngine::mu_.
+/// Point iovecs at what is left of a record `off` bytes in: the header
+/// remainder (if any), then the body remainder (if any).  Returns how
+/// many of the (at most two) slots it filled and adds their bytes to
+/// `*bytes`.
+int GatherRest(const unsigned char* hdr, const void* body, std::uint32_t len,
+               std::size_t off, iovec* iov, std::size_t* bytes) {
+  int cnt = 0;
+  if (off < kWireRecBytes) {
+    iov[cnt].iov_base = const_cast<unsigned char*>(hdr) + off;
+    iov[cnt].iov_len = kWireRecBytes - off;
+    ++cnt;
+    off = kWireRecBytes;
+  }
+  const std::size_t body_off = off - kWireRecBytes;
+  if (body_off < len) {
+    iov[cnt].iov_base =
+        const_cast<unsigned char*>(static_cast<const unsigned char*>(body)) +
+        body_off;
+    iov[cnt].iov_len = len - body_off;
+    ++cnt;
+  }
+  for (int k = 0; k < cnt; ++k) *bytes += iov[k].iov_len;
+  return cnt;
+}
+
+/// Per-peer connection state.  `fd` is written only under
+/// SocketEngine::mu_ and read by sending threads under it; the comm thread
+/// (its only writer while running) also reads it unlocked.  `outbox` is
+/// shared under mu_; the parser, rx state and flags are comm-thread-only.
 struct Peer {
   int fd = -1;
   bool hello_rx = false;
@@ -122,9 +160,10 @@ struct Pending {
   unsigned char hello[kWireRecBytes] = {};
 };
 
-/// Bodies at least this large skip the outbox staging memcpy and are
-/// gathered by sendmsg straight from the (transferred-ownership) message.
-/// Below it the copy is cheaper than carrying ownership around.
+/// Bodies at least this large are never copied, not even when they queue:
+/// the outbox takes ownership of the message and sendmsg gathers straight
+/// from it.  Below it a queued record copies its body, which is cheaper
+/// than carrying ownership around.
 constexpr std::uint32_t kGatherMinBytes = 4096;
 
 void SetNonBlocking(int fd) {
@@ -206,8 +245,8 @@ class SocketEngine : public Transport {
     const std::uint32_t len = h->total_size;
     CountRecordSent(src, len);
     if (len >= kGatherMinBytes) {
-      // Zero-copy path: the outbox takes ownership and sendmsg gathers
-      // the body straight from the message; freed after the last byte.
+      // Zero-copy path: sendmsg gathers the body straight from the
+      // message, which is freed once its last byte left the kernel.
       Enqueue(machine_.NodeOf(dest_pe),
               immediate ? kWireImmediate : kWireMessage, dest_pe, msg, len,
               msg);
@@ -217,7 +256,7 @@ class SocketEngine : public Transport {
       check::OnReclaim(msg);  // the wire consumed the in-flight buffer
       CmiFree(msg);
     }
-    return true;  // in the outbox either way: the wire owns it now
+    return true;  // sent or queued either way: the wire owns it now
   }
 
   void SendNodeCast(PeState& src, int node, const void* image,
@@ -321,40 +360,65 @@ class SocketEngine : public Transport {
 
   // ---- outboxes (PE threads + comm thread) ---------------------------
 
-  /// Queue one record.  With `owned_msg` set, the body IS the message
-  /// image and ownership transfers to the outbox: only the 16-byte header
-  /// is built here, sendmsg gathers the body from the message itself, and
-  /// the message is freed when the record fully leaves the kernel.
-  void Enqueue(int node, std::uint8_t kind, int dest_pe, const void* body,
-               std::uint32_t len, void* owned_msg = nullptr) {
-    assert(node >= 0 && node < static_cast<int>(peers_.size()) &&
-           node != mynode_);
+  void EncodeRec(std::uint8_t kind, int dest_pe, std::uint32_t len,
+                 unsigned char* out) const {
     WireRec rec;
     rec.length = len;
     rec.dest_pe = static_cast<std::uint16_t>(dest_pe);
     rec.src_node = static_cast<std::uint16_t>(mynode_);
     rec.kind = kind;
-    OutBuf buf;
-    if (owned_msg != nullptr) {
-      buf.data.resize(kWireRecBytes);
-      WireEncode(rec, buf.data.data());
-      buf.msg = owned_msg;
-      buf.msg_len = len;
-    } else {
-      buf.data.resize(kWireRecBytes + len);
-      WireEncode(rec, buf.data.data());
-      if (len > 0) std::memcpy(buf.data.data() + kWireRecBytes, body, len);
-    }
-    bool was_empty;
+    WireEncode(rec, out);
+  }
+
+  /// Send one record.  When the peer's stream is up and its outbox empty,
+  /// the calling thread gathers header + body into one sendmsg itself;
+  /// only what the kernel did not take is queued, and only a queue that
+  /// was empty pokes the comm thread.  With `owned_msg` set the body IS
+  /// the message image and ownership transfers here: it is freed once the
+  /// record has fully left the kernel.  A partly sent record is queued
+  /// whole, with `off` past the sent bytes, so a reconnect can still
+  /// retransmit it from its start.
+  void Enqueue(int node, std::uint8_t kind, int dest_pe, const void* body,
+               std::uint32_t len, void* owned_msg = nullptr) {
+    assert(node >= 0 && node < static_cast<int>(peers_.size()) &&
+           node != mynode_);
+    unsigned char hdr[kWireRecBytes];
+    EncodeRec(kind, dest_pe, len, hdr);
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       Peer& p = peers_[static_cast<std::size_t>(node)];
-      was_empty = p.outbox.empty();
-      p.outbox.push_back(std::move(buf));
+      std::size_t sent = 0;
+      if (p.outbox.empty() && p.fd >= 0) {
+        // Nothing queued for this peer, so nothing to overtake.
+        iovec iov[2];
+        std::size_t bytes = 0;
+        const int cnt = GatherRest(hdr, body, len, 0, iov, &bytes);
+        const ssize_t n = SendLocked(p, iov, cnt);
+        if (n > 0) sent = static_cast<std::size_t>(n);
+      }
+      if (sent < kWireRecBytes + len) {
+        OutBuf& b = p.outbox.emplace_back();
+        std::memcpy(b.hdr, hdr, kWireRecBytes);
+        b.len = len;
+        b.off = sent;
+        if (owned_msg != nullptr) {
+          b.msg = owned_msg;
+          owned_msg = nullptr;
+        } else if (len > 0) {
+          const auto* src = static_cast<const unsigned char*>(body);
+          b.copy.assign(src, src + len);
+        }
+        wake = p.outbox.size() == 1;
+      }
     }
-    // A non-empty outbox means the comm thread is already draining (or
-    // has POLLOUT armed); only the first record needs the wake byte.
-    if (was_empty) Wake();
+    if (owned_msg != nullptr) {
+      check::OnReclaim(owned_msg);  // its last byte left the kernel
+      CmiFree(owned_msg);
+    }
+    // A longer outbox means the comm thread already has POLLOUT armed or
+    // is draining; only the record that starts a backlog wakes it.
+    if (wake) Wake();
   }
 
   void Wake() {
@@ -375,49 +439,49 @@ class SocketEngine : public Transport {
         static_cast<std::int64_t>(machine_.config().wire_timeout_ms) *
             1000000;
     for (int j = 0; j < mynode_; ++j) {
-      Peer& p = peers_[static_cast<std::size_t>(j)];
       std::int64_t backoff_ns = 1000000;  // 1 ms, doubling to 100 ms
+      int fd = -1;
       for (;;) {
-        p.fd = Dial(j);
-        if (p.fd >= 0) break;
+        fd = Dial(j);
+        if (fd >= 0) break;
         if (util::NowNs() > deadline || ShuttingDown()) break;
         std::this_thread::sleep_for(std::chrono::nanoseconds(backoff_ns));
         if (backoff_ns < 100000000) backoff_ns *= 2;
       }
-      if (p.fd < 0) {
+      if (fd < 0) {
         if (!ShuttingDown()) {
           Fail("rendezvous with node " + std::to_string(j) +
                " timed out");
         }
         return;
       }
-      SendHello(p);
-      SetNonBlocking(p.fd);
+      Publish(peers_[static_cast<std::size_t>(j)], fd);
     }
     Loop();
   }
 
-  void SendHello(Peer& p) {
-    WireRec rec;
-    rec.length = 0;
-    rec.dest_pe = 0;
-    rec.src_node = static_cast<std::uint16_t>(mynode_);
-    rec.kind = kWireHello;
+  /// Make a freshly dialed stream sendable: write the hello on the still
+  /// blocking fd, switch it to non-blocking, and only then publish it to
+  /// the sending threads, so no record can precede the hello and no sender
+  /// can block in sendmsg.
+  void Publish(Peer& p, int fd) {
     unsigned char buf[kWireRecBytes];
-    WireEncode(rec, buf);
-    // The fd is still blocking here (or the record rides the outbox on
-    // reconnect); 16 bytes into a fresh stream cannot meaningfully block.
+    EncodeRec(kWireHello, 0, 0, buf);
+    // 16 bytes into a fresh blocking stream cannot meaningfully block.
     std::size_t off = 0;
     while (off < kWireRecBytes) {
       const ssize_t n =
-          send(p.fd, buf + off, kWireRecBytes - off, MSG_NOSIGNAL);
+          send(fd, buf + off, kWireRecBytes - off, MSG_NOSIGNAL);
+      syscalls_.fetch_add(1, std::memory_order_relaxed);
       if (n < 0) {
         if (errno == EINTR || errno == EAGAIN) continue;
-        return;  // the read side will notice the dead stream
+        break;  // the read side will notice the dead stream
       }
-      syscalls_.fetch_add(1, std::memory_order_relaxed);
       off += static_cast<std::size_t>(n);
     }
+    SetNonBlocking(fd);
+    std::lock_guard<std::mutex> lock(mu_);
+    p.fd = fd;
   }
 
   bool ShuttingDown() {
@@ -449,15 +513,7 @@ class SocketEngine : public Transport {
               p.goodbye_tx) {
             continue;
           }
-          WireRec rec;
-          rec.length = 0;
-          rec.dest_pe = 0;
-          rec.src_node = static_cast<std::uint16_t>(mynode_);
-          rec.kind = kWireGoodbye;
-          OutBuf buf;
-          buf.data.resize(kWireRecBytes);
-          WireEncode(rec, buf.data.data());
-          p.outbox.push_back(std::move(buf));
+          EncodeRec(kWireGoodbye, 0, 0, p.outbox.emplace_back().hdr);
           p.goodbye_tx = true;
         }
       }
@@ -589,12 +645,15 @@ class SocketEngine : public Transport {
       return;
     }
     Peer& p = peers_[rec.src_node];
-    if (p.fd >= 0) {
-      // Stale stream superseded by this reconnect.
-      close(p.fd);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // A stale stream superseded by this reconnect; the peer dropped any
+      // partial record of ours with it, so ours restarts from its start.
+      if (p.fd >= 0) close(p.fd);
+      if (!p.outbox.empty()) p.outbox.front().off = 0;
+      p.fd = c.fd;
     }
     DropPartialRecord(p);
-    p.fd = c.fd;
     p.hello_rx = true;
     p.goodbye_rx = false;
     p.down_since_ns = -1;
@@ -605,13 +664,13 @@ class SocketEngine : public Transport {
   /// or -1 when the caller should stop reading: EAGAIN, or the stream went
   /// down (and was torn down here).  Every readv counts as a syscall, the
   /// ones that read nothing included.
-  ssize_t ReadStream(int node, Peer& p, iovec* iov, int cnt) {
+  ssize_t ReadStream(Peer& p, iovec* iov, int cnt) {
     for (;;) {
       const ssize_t n = readv(p.fd, iov, cnt);
       syscalls_.fetch_add(1, std::memory_order_relaxed);
       if (n > 0) return n;
       if (n < 0 && errno == EINTR) continue;
-      if (n == 0 || errno != EAGAIN) OnStreamDown(node, p);
+      if (n == 0 || errno != EAGAIN) OnStreamDown(p);
       return -1;
     }
   }
@@ -631,7 +690,7 @@ class SocketEngine : public Transport {
         iov[0].iov_len = p.rx_len - p.rx_off;
         iov[1].iov_base = p.rx_hdr;
         iov[1].iov_len = kWireRecBytes;
-        const ssize_t n = ReadStream(node, p, iov, 2);
+        const ssize_t n = ReadStream(p, iov, 2);
         if (n < 0) return;
         const std::size_t body =
             std::min(static_cast<std::size_t>(n), iov[0].iov_len);
@@ -645,7 +704,7 @@ class SocketEngine : public Transport {
       if (p.rx_hdr_first) {
         if (p.rx_hdr_have < kWireRecBytes) {
           iovec iov{p.rx_hdr + p.rx_hdr_have, kWireRecBytes - p.rx_hdr_have};
-          const ssize_t n = ReadStream(node, p, &iov, 1);
+          const ssize_t n = ReadStream(p, &iov, 1);
           if (n < 0) return;
           p.rx_hdr_have += static_cast<std::uint32_t>(n);
           if (p.rx_hdr_have < kWireRecBytes) return;  // short read
@@ -658,7 +717,7 @@ class SocketEngine : public Transport {
       const std::size_t carry = p.rx_hdr_have;
       std::memcpy(chunk, p.rx_hdr, carry);
       iovec iov{chunk + carry, sizeof(chunk) - carry};
-      const ssize_t n = ReadStream(node, p, &iov, 1);
+      const ssize_t n = ReadStream(p, &iov, 1);
       if (n < 0) return;
       p.rx_hdr_have = 0;
       if (!FeedBytes(node, p, chunk, carry + static_cast<std::size_t>(n))) {
@@ -776,8 +835,7 @@ class SocketEngine : public Transport {
   /// Always false, for the callers' teardown returns.
   bool Malformed(int node, Peer& p) {
     Fail("malformed record from node " + std::to_string(node));
-    close(p.fd);
-    p.fd = -1;
+    CloseStream(p);
     return false;
   }
 
@@ -822,20 +880,24 @@ class SocketEngine : public Transport {
     p.rx_hdr_have = 0;
   }
 
-  void OnStreamDown(int node, Peer& p) {
+  /// Close `p`'s stream.  The peer resends its partial front record on
+  /// its side and we resend ours: the front outbox record rewinds to its
+  /// start.  Returns whether the end was clean (goodbye seen, or shutting
+  /// down).
+  bool CloseStream(Peer& p) {
+    std::lock_guard<std::mutex> lock(mu_);
     close(p.fd);
     p.fd = -1;
+    if (!p.outbox.empty()) p.outbox.front().off = 0;
+    return p.goodbye_rx || shutting_down_;
+  }
+
+  void OnStreamDown(Peer& p) {
+    const bool clean = CloseStream(p);
     DropPartialRecord(p);
-    if (p.goodbye_rx || ShuttingDown()) return;  // clean end
+    if (clean) return;
     p.down_since_ns = util::NowNs();
     p.next_dial_ns = p.down_since_ns;
-    {
-      // The peer resends its partial front record on its side; we resend
-      // ours: rewind the front outbox record to its start.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!p.outbox.empty()) p.outbox.front().off = 0;
-    }
-    (void)node;
   }
 
   /// Reconnect (connecting side) or time out streams that are down.
@@ -859,9 +921,7 @@ class SocketEngine : public Transport {
       if (static_cast<int>(i) < mynode_ && now >= p.next_dial_ns) {
         const int fd = Dial(static_cast<int>(i));
         if (fd >= 0) {
-          p.fd = fd;
-          SendHello(p);
-          SetNonBlocking(fd);
+          Publish(p, fd);
           p.down_since_ns = -1;
           reconnects_.fetch_add(1, std::memory_order_relaxed);
         } else {
@@ -876,52 +936,39 @@ class SocketEngine : public Transport {
     FlushLocked(p);
   }
 
+  /// One sendmsg on `p`'s stream, retrying EINTR.  Returns the bytes the
+  /// kernel took, or -1 (EAGAIN, or a broken stream, which the read side
+  /// tears down on its next poll via POLLERR/POLLHUP).  Every call counts
+  /// as a syscall, the ones that send nothing included.  Caller holds mu_.
+  ssize_t SendLocked(Peer& p, iovec* iov, int cnt) {
+    msghdr mh{};
+    mh.msg_iov = iov;
+    mh.msg_iovlen = static_cast<std::size_t>(cnt);
+    for (;;) {
+      const ssize_t n = sendmsg(p.fd, &mh, MSG_NOSIGNAL);
+      syscalls_.fetch_add(1, std::memory_order_relaxed);
+      if (n >= 0 || errno != EINTR) return n;
+    }
+  }
+
   /// Gather as many queued records as fit into iovecs and push them with
-  /// sendmsg until EAGAIN or the outbox empties.  Zero-copy records
-  /// contribute two iovecs (header bytes + the message image itself); the
-  /// message is freed once its last byte is accepted.  Caller holds mu_.
+  /// sendmsg until EAGAIN or the outbox empties; a gathered body's message
+  /// is freed once its last byte is accepted.  Caller holds mu_.
   void FlushLocked(Peer& p) {
     while (!p.outbox.empty() && p.fd >= 0) {
       iovec iov[16];
       int cnt = 0;
       std::size_t queued = 0;
       for (const OutBuf& b : p.outbox) {
-        if (cnt >= 15) break;  // a gathered record may need two slots
-        if (b.off < b.data.size()) {
-          iov[cnt].iov_base =
-              const_cast<unsigned char*>(b.data.data()) + b.off;
-          iov[cnt].iov_len = b.data.size() - b.off;
-          queued += iov[cnt].iov_len;
-          ++cnt;
-          if (b.msg != nullptr) {
-            iov[cnt].iov_base = b.msg;
-            iov[cnt].iov_len = b.msg_len;
-            queued += b.msg_len;
-            ++cnt;
-          }
-        } else {
-          const std::size_t body_off = b.off - b.data.size();
-          iov[cnt].iov_base = static_cast<unsigned char*>(b.msg) + body_off;
-          iov[cnt].iov_len = b.msg_len - body_off;
-          queued += iov[cnt].iov_len;
-          ++cnt;
-        }
+        if (cnt > 14) break;  // a record may need two slots
+        cnt += GatherRest(b.hdr, b.body(), b.len, b.off, iov + cnt, &queued);
       }
-      msghdr mh{};
-      mh.msg_iov = iov;
-      mh.msg_iovlen = static_cast<std::size_t>(cnt);
-      const ssize_t n = sendmsg(p.fd, &mh, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EINTR) return;
-        // Stream broke under us; the read side handles teardown/reconnect
-        // on its next poll (POLLERR/POLLHUP).
-        return;
-      }
-      syscalls_.fetch_add(1, std::memory_order_relaxed);
+      const ssize_t n = SendLocked(p, iov, cnt);
+      if (n < 0) return;
       std::size_t left = static_cast<std::size_t>(n);
       while (left > 0) {
         OutBuf& front = p.outbox.front();
-        const std::size_t want = front.size() - front.off;
+        const std::size_t want = kWireRecBytes + front.len - front.off;
         if (left >= want) {
           left -= want;
           if (front.msg != nullptr) {
@@ -939,6 +986,7 @@ class SocketEngine : public Transport {
   }
 
   void CloseAll() {
+    std::lock_guard<std::mutex> lock(mu_);
     for (Peer& p : peers_) {
       if (p.fd >= 0) close(p.fd);
       p.fd = -1;
@@ -974,7 +1022,7 @@ class SocketEngine : public Transport {
   bool unix_mode_ = false;
   int listen_fd_ = -1;
   int wake_[2] = {-1, -1};
-  std::mutex mu_;  // outboxes + shutting_down_
+  std::mutex mu_;  // outboxes, Peer::fd writes, shutting_down_
   bool shutting_down_ = false;
   bool running_ = false;
   std::vector<Peer> peers_;      // indexed by node id; [mynode_] unused

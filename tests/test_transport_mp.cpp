@@ -192,101 +192,151 @@ TEST(TransportMp, BroadcastAndImmediatesSmpNode) {
   EXPECT_EQ(r.codes[1], kPass);
 }
 
-TEST(TransportMp, LargeRecordsLandIntactAndInOrder) {
-  // 2 processes x 2 PEs: every PE streams a scripted mix of record sizes
-  // to both PEs on the other node — the 4 KiB direct-fill edge, back-to-
-  // back 64 KiB bodies, a body past the 64 KiB pool class, small records
-  // between large ones, and large immediates.  Every byte is pattern-
-  // checked and every (sender, lane) stream must arrive in send order.
-  struct Item {
-    std::size_t total;  // whole message, header included
-    bool immediate;
+namespace {
+
+// One scripted message in a streaming test.
+struct Item {
+  std::size_t total;  // whole message, header included
+  bool immediate;
+};
+
+// 2 processes x 2 PEs: every PE sends `script`, `repeats` times, to both
+// PEs on the other node, each message its own wire record.  Every byte is
+// pattern-checked and every (sender, lane) stream must arrive in send
+// order.  With `handshake` each PE first bounces a ping off its mirror PE
+// on the other node and starts the script only when the pong is back, so
+// the stream is up in both directions before the first scripted send.
+// Returns the node's exit code.
+int StreamScript(MachineConfig& cfg, const std::vector<Item>& script,
+                 int repeats, bool handshake) {
+  struct Tag {
+    int sender;
+    int seq;  // per (sender, dest, lane) send order
+    int imm;
   };
-  static const Item kScript[] = {
+  const int items = static_cast<int>(script.size());
+  cfg.aggregate_sends = 0;  // every message is its own wire record
+  std::atomic<int> bad{0};
+  RunConverse(cfg, [&](int pe, int n) {
+    const int half = n / 2;
+    const int mine = pe / half;  // node of this PE
+    // Messages each PE expects: both remote PEs run the script.
+    const int want = half * repeats * items;
+    thread_local int got, dones;
+    thread_local std::vector<int> next;  // [sender * 2 + imm]
+    got = dones = 0;
+    next.assign(static_cast<std::size_t>(n) * 2, 0);
+    const int h_done = CmiRegisterHandler([n](void*) {
+      if (++dones == n) ConverseBroadcastExit();
+    });
+    auto check = [&bad, h_done, want](void* msg) {
+      Tag t;
+      std::memcpy(&t, CmiMsgPayload(msg), sizeof(t));
+      int& expect = next[static_cast<std::size_t>(t.sender * 2 + t.imm)];
+      if (t.seq != expect) ++bad;
+      expect = t.seq + 1;
+      const auto* p = static_cast<const unsigned char*>(CmiMsgPayload(msg));
+      const std::size_t len = CmiMsgPayloadSize(msg);
+      for (std::size_t i = sizeof(t); i < len; ++i) {
+        if (p[i] !=
+            static_cast<unsigned char>(t.sender * 31 + t.seq * 7 + i * 13)) {
+          ++bad;
+          break;
+        }
+      }
+      if (++got == want) {
+        void* d = CmiMakeMessage(h_done, nullptr, 0);
+        CmiSyncSendAndFree(0, CmiMsgTotalSize(d), d);
+      }
+    };
+    const int h_data = CmiRegisterHandler(check);
+    const int h_imm = CmiRegisterHandler(check);
+    auto send_script = [&script, repeats, pe, half, mine, h_data, h_imm] {
+      std::vector<std::array<int, 2>> seqs(static_cast<std::size_t>(half),
+                                           {0, 0});  // [dest][imm]
+      for (int rep = 0; rep < repeats; ++rep) {
+        for (int d = 0; d < half; ++d) {
+          const int dest = (1 - mine) * half + d;
+          std::array<int, 2>& seq = seqs[static_cast<std::size_t>(d)];
+          for (const Item& it : script) {
+            void* m = CmiAlloc(it.total);
+            CmiSetHandler(m, it.immediate ? h_imm : h_data);
+            const int imm = it.immediate ? 1 : 0;
+            const Tag t{pe, seq[static_cast<std::size_t>(imm)]++, imm};
+            std::memcpy(CmiMsgPayload(m), &t, sizeof(t));
+            auto* p = static_cast<unsigned char*>(CmiMsgPayload(m));
+            for (std::size_t i = sizeof(t); i < CmiMsgPayloadSize(m); ++i) {
+              p[i] = static_cast<unsigned char>(t.sender * 31 + t.seq * 7 +
+                                                i * 13);
+            }
+            if (it.immediate) {
+              CmiSyncSendImmediateAndFree(static_cast<unsigned>(dest),
+                                          CmiMsgTotalSize(m), m);
+            } else {
+              CmiSyncSendAndFree(dest, CmiMsgTotalSize(m), m);
+            }
+          }
+        }
+      }
+    };
+    const int h_pong =
+        CmiRegisterHandler([send_script](void*) { send_script(); });
+    const int h_ping = CmiRegisterHandler([h_pong](void* msg) {
+      int from;
+      std::memcpy(&from, CmiMsgPayload(msg), sizeof(from));
+      void* m = CmiMakeMessage(h_pong, nullptr, 0);
+      CmiSyncSendAndFree(from, CmiMsgTotalSize(m), m);
+    });
+    if (handshake) {
+      const int mirror = (1 - mine) * half + pe % half;
+      void* m = CmiMakeMessage(h_ping, &pe, sizeof(pe));
+      CmiSyncSendAndFree(mirror, CmiMsgTotalSize(m), m);
+    } else {
+      send_script();
+    }
+    CsdScheduler(-1);
+    if (got != want) ++bad;
+  });
+  return bad.load() == 0 ? kPass : kCheckFailed;
+}
+
+}  // namespace
+
+TEST(TransportMp, LargeRecordsLandIntactAndInOrder) {
+  // The 4 KiB direct-fill edge, back-to-back 64 KiB bodies, a body past
+  // the 64 KiB pool class, small records between large ones, and large
+  // immediates.
+  static const std::vector<Item> kScript = {
       {4095, false},   {4096, false},  {4097, false},  {64, false},
       {65536, false},  {65536, false}, {65536, false}, {65536, false},
       {100, false},    {204800, false}, {48, false},    {4096, true},
       {65536, false},  {8192, true},   {64, false},    {4097, false},
       {64, false},     {65536, false}, {4095, true},   {65536, false},
   };
-  constexpr int kRepeats = 6;
-  constexpr int kItems = static_cast<int>(std::size(kScript));
-  struct Tag {
-    int sender;
-    int seq;  // per (sender, dest, lane) send order
-    int imm;
+  const ForkResult r = ForkNodes(
+      4, 2, CmiTransport::kSmpNode, 10000, [](MachineConfig& cfg, int) {
+        return StreamScript(cfg, kScript, 6, /*handshake=*/false);
+      });
+  ASSERT_EQ(r.codes.size(), 2u);
+  EXPECT_EQ(r.codes[0], kPass);
+  EXPECT_EQ(r.codes[1], kPass);
+}
+
+TEST(TransportMp, DirectSendHandsBacklogToCommThread) {
+  // With both streams up, a sending PE hands each record to the kernel
+  // itself while the peer's outbox is empty.  A 3 MiB message outgrows
+  // the socket's send buffer (1 MiB asked; Linux doubles it), so that
+  // direct send stops partway and leaves its tail to the comm thread; every record sent behind it (small
+  // records, 64 KiB bodies, immediates, to both remote PEs) must queue
+  // behind that tail, never overtake it, and arrive intact.
+  static const std::vector<Item> kScript = {
+      {3u << 20, false}, {64, false},    {100, false},   {65536, false},
+      {48, true},        {65536, false}, {4096, false},  {64, true},
+      {65536, true},     {4095, false},  {65536, false}, {64, false},
   };
   const ForkResult r = ForkNodes(
-      4, 2, CmiTransport::kSmpNode, 10000, [&](MachineConfig& cfg, int) {
-        cfg.aggregate_sends = 0;  // every message is its own wire record
-        std::atomic<int> bad{0};
-        RunConverse(cfg, [&](int pe, int n) {
-          const int half = n / 2;
-          const int mine = pe / half;  // node of this PE
-          // Messages each PE expects: both remote PEs run the script.
-          const int want = half * kRepeats * kItems;
-          thread_local int got, dones;
-          thread_local std::vector<int> next;  // [sender * 2 + imm]
-          got = dones = 0;
-          next.assign(static_cast<std::size_t>(n) * 2, 0);
-          const int h_done = CmiRegisterHandler([n](void*) {
-            if (++dones == n) ConverseBroadcastExit();
-          });
-          auto check = [&bad, h_done, want](void* msg) {
-            Tag t;
-            std::memcpy(&t, CmiMsgPayload(msg), sizeof(t));
-            int& expect =
-                next[static_cast<std::size_t>(t.sender * 2 + t.imm)];
-            if (t.seq != expect) ++bad;
-            expect = t.seq + 1;
-            const auto* p =
-                static_cast<const unsigned char*>(CmiMsgPayload(msg));
-            const std::size_t len = CmiMsgPayloadSize(msg);
-            for (std::size_t i = sizeof(t); i < len; ++i) {
-              if (p[i] != static_cast<unsigned char>(t.sender * 31 +
-                                                     t.seq * 7 + i * 13)) {
-                ++bad;
-                break;
-              }
-            }
-            if (++got == want) {
-              void* d = CmiMakeMessage(h_done, nullptr, 0);
-              CmiSyncSendAndFree(0, CmiMsgTotalSize(d), d);
-            }
-          };
-          const int h_data = CmiRegisterHandler(check);
-          const int h_imm = CmiRegisterHandler(check);
-          std::vector<std::array<int, 2>> seqs(
-              static_cast<std::size_t>(half), {0, 0});  // [dest][imm]
-          for (int rep = 0; rep < kRepeats; ++rep) {
-            for (int d = 0; d < half; ++d) {
-              const int dest = (1 - mine) * half + d;
-              std::array<int, 2>& seq = seqs[static_cast<std::size_t>(d)];
-              for (const Item& it : kScript) {
-                void* m = CmiAlloc(it.total);
-                CmiSetHandler(m, it.immediate ? h_imm : h_data);
-                const int imm = it.immediate ? 1 : 0;
-                const Tag t{pe, seq[static_cast<std::size_t>(imm)]++, imm};
-                std::memcpy(CmiMsgPayload(m), &t, sizeof(t));
-                auto* p = static_cast<unsigned char*>(CmiMsgPayload(m));
-                for (std::size_t i = sizeof(t); i < CmiMsgPayloadSize(m);
-                     ++i) {
-                  p[i] = static_cast<unsigned char>(t.sender * 31 +
-                                                    t.seq * 7 + i * 13);
-                }
-                if (it.immediate) {
-                  CmiSyncSendImmediateAndFree(static_cast<unsigned>(dest),
-                                              CmiMsgTotalSize(m), m);
-                } else {
-                  CmiSyncSendAndFree(dest, CmiMsgTotalSize(m), m);
-                }
-              }
-            }
-          }
-          CsdScheduler(-1);
-          if (got != want) ++bad;
-        });
-        return bad.load() == 0 ? kPass : kCheckFailed;
+      4, 2, CmiTransport::kSmpNode, 10000, [](MachineConfig& cfg, int) {
+        return StreamScript(cfg, kScript, 3, /*handshake=*/true);
       });
   ASSERT_EQ(r.codes.size(), 2u);
   EXPECT_EQ(r.codes[0], kPass);
