@@ -31,13 +31,18 @@
 // floor, not a NIC ceiling).
 //
 // Flags: --json[=path], --quick, --relaxed (report shape checks without
-// gating the exit code — for sanitizer builds and noisy shared runners).
+// gating the exit code — for sanitizer builds and noisy shared runners),
+// --ppn N (N PEs per node, default 1: PE i of node 0 drives PE i of node
+// 1, so N senders share one node's transport; rates are the sum over the
+// pairs, each phase timed from its first start to its last finish).
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -57,6 +62,7 @@ struct Shape {
   long big_msgs = 3072;            // phase 2 total messages (192 MiB)
   int big_window = 64;             // large messages per ack
   std::size_t big_bytes = 65536;   // phase 2 payload
+  int ppn = 1;                     // PEs per node (= sending pairs)
 };
 
 struct WireNumbers {
@@ -65,13 +71,18 @@ struct WireNumbers {
 };
 
 // One machine, both phases; runs in BOTH processes (mynode selects the
-// role: node 0 = PE 0 drives and measures, node 1 = PE 1 echoes acks).
+// role: node 0's PEs drive and measure, node 1's PEs echo acks).  Node 0
+// PE i drives node 1 PE ppn + i.  Every PE meets at a barrier before each
+// phase and after the last one, so a phase's rate is the sum over all
+// pairs.
 WireNumbers RunWire(const Shape& sh, int mynode, const char* rdv) {
   WireNumbers out;
   MachineConfig cfg;
-  cfg.npes = 2;
+  cfg.npes = 2 * sh.ppn;
   cfg.nnodes = 2;
-  cfg.transport = CmiTransport::kSocket;
+  // kSocket is one process per PE; SMP nodes put ppn PEs in each process.
+  cfg.transport =
+      sh.ppn == 1 ? CmiTransport::kSocket : CmiTransport::kSmpNode;
   cfg.mynode = mynode;
   cfg.rendezvous_dir = rdv;
   cfg.wire_timeout_ms = 30000;
@@ -80,56 +91,64 @@ WireNumbers RunWire(const Shape& sh, int mynode, const char* rdv) {
   cfg.aggregate_sends = 1;
   cfg.agg_frame_bytes = 65536;
   cfg.agg_frame_msgs = 8192;
+  // Phase bounds per driver: [phase][rank] = {start, end}.
+  std::vector<std::pair<double, double>> spans[2];
+  spans[0].resize(static_cast<std::size_t>(sh.ppn));
+  spans[1].resize(static_cast<std::size_t>(sh.ppn));
   RunConverse(cfg, [&](int pe, int) {
     int acks = 0;
     int ack = CmiRegisterHandler([&acks](void*) { ++acks; });
 
     // Echo side: one ack per phase-1 burst, one per phase-2 window.
+    const int driver = pe - sh.ppn;
     long got_small = 0, got_big = 0;
     int sink_small = CmiRegisterHandler([&](void*) {
       if (++got_small % sh.small_burst == 0) {
         void* a = CmiMakeMessage(ack, nullptr, 0);
-        CmiSyncSendAndFree(0, CmiMsgTotalSize(a), a);
+        CmiSyncSendAndFree(driver, CmiMsgTotalSize(a), a);
         CmiFlush();  // the ack gates the sender: never let it sit batched
       }
     });
     int sink_big = CmiRegisterHandler([&](void*) {
       if (++got_big % sh.big_window == 0) {
         void* a = CmiMakeMessage(ack, nullptr, 0);
-        CmiSyncSendAndFree(0, CmiMsgTotalSize(a), a);
+        CmiSyncSendAndFree(driver, CmiMsgTotalSize(a), a);
         CmiFlush();
       }
     });
 
-    if (pe != 0) {
+    if (pe >= sh.ppn) {
+      for (int phase = 0; phase < 3; ++phase) CmiBarrierBlocking();
       CsdScheduler(-1);  // echo until the driver broadcasts exit
       return;
     }
     (void)sink_small;
     (void)sink_big;
+    const int echo = pe + sh.ppn;
+    const auto rank = static_cast<std::size_t>(pe);
 
     // ---- phase 1: 64 B message rate ----
+    CmiBarrierBlocking();
     {
       std::vector<char> payload(sh.small_bytes, 'r');
       void* m = CmiMakeMessage(sink_small, payload.data(), payload.size());
       const unsigned msz = static_cast<unsigned>(CmiMsgTotalSize(m));
       const long bursts = sh.small_msgs / sh.small_burst;
-      const double t0 = CmiTimer();
+      spans[0][rank].first = CmiTimer();
       for (long b = 0; b < bursts; ++b) {
         for (int i = 0; i < sh.small_burst; ++i) {
-          CmiSyncSend(1, msz, m);
+          CmiSyncSend(echo, msz, m);
         }
         CmiFlush();
-        CsdScheduler(1);  // block for this burst's ack
+        const int want = acks + 1;  // block for this burst's ack
+        while (acks < want) CsdScheduler(1);
       }
-      const double dt = CmiTimer() - t0;
+      spans[0][rank].second = CmiTimer();
       CmiFree(m);
-      const long sent = bursts * sh.small_burst;
-      out.msgs_per_sec = dt > 0 ? static_cast<double>(sent) / dt : 0.0;
-      (void)acks;
     }
 
     // ---- phase 2: 64 KiB bandwidth ----
+    CmiBarrierBlocking();
     {
       // Build-in-place sends: allocate, stamp the handler, hand the
       // message to the wire (uninitialized payload — the socketpair
@@ -139,24 +158,45 @@ WireNumbers RunWire(const Shape& sh, int mynode, const char* rdv) {
       const std::size_t body =
           sh.big_bytes - static_cast<std::size_t>(CmiMsgHeaderSizeBytes());
       const long windows = sh.big_msgs / sh.big_window;
-      const double t0 = CmiTimer();
+      spans[1][rank].first = CmiTimer();
       for (long w = 0; w < windows; ++w) {
         for (int i = 0; i < sh.big_window; ++i) {
           void* m = CmiMakeMessage(sink_big, nullptr, body);
-          CmiSyncSendAndFree(1, CmiMsgTotalSize(m), m);
+          CmiSyncSendAndFree(echo, CmiMsgTotalSize(m), m);
         }
         CmiFlush();
-        CsdScheduler(1);
+        const int want = acks + 1;
+        while (acks < want) CsdScheduler(1);
       }
-      const double dt = CmiTimer() - t0;
-      const double bytes =
-          static_cast<double>(windows * sh.big_window) *
-          static_cast<double>(sh.big_bytes);
-      out.gbps = dt > 0 ? bytes * 8.0 / dt / 1e9 : 0.0;
+      spans[1][rank].second = CmiTimer();
     }
 
-    ConverseBroadcastExit();
+    CmiBarrierBlocking();
+    if (pe == 0) {
+      ConverseBroadcastExit();
+    } else {
+      CsdScheduler(-1);
+    }
   });
+  if (mynode != 0) return out;
+  // One phase's wall time: first driver start to last driver end.
+  auto wall = [](const std::vector<std::pair<double, double>>& v) {
+    double t0 = v[0].first, t1 = v[0].second;
+    for (const auto& [a, b] : v) {
+      t0 = std::min(t0, a);
+      t1 = std::max(t1, b);
+    }
+    return t1 - t0;
+  };
+  const double dt_small = wall(spans[0]), dt_big = wall(spans[1]);
+  const double sent = static_cast<double>(
+      (sh.small_msgs / sh.small_burst) * sh.small_burst * sh.ppn);
+  out.msgs_per_sec = dt_small > 0 ? sent / dt_small : 0.0;
+  const double bytes =
+      static_cast<double>((sh.big_msgs / sh.big_window) * sh.big_window *
+                          sh.ppn) *
+      static_cast<double>(sh.big_bytes);
+  out.gbps = dt_big > 0 ? bytes * 8.0 / dt_big / 1e9 : 0.0;
   return out;
 }
 
@@ -241,10 +281,17 @@ double MemcpyGbps(const Shape& sh) {
 int main(int argc, char** argv) {
   JsonInit("bench_transport", argc, argv);
   bool relaxed = false;
+  Shape sh;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--relaxed") == 0) relaxed = true;
+    if (std::strcmp(argv[i], "--ppn") == 0 && i + 1 < argc) {
+      sh.ppn = std::atoi(argv[++i]);
+      if (sh.ppn < 1 || sh.ppn > 8) {
+        std::fprintf(stderr, "bench_transport: --ppn takes 1..8\n");
+        return 1;
+      }
+    }
   }
-  Shape sh;
   if (QuickRun()) {
     sh.small_msgs = 60000;
     sh.big_msgs = 768;
@@ -284,7 +331,9 @@ int main(int argc, char** argv) {
   const double memcpy_gbps = MemcpyGbps(sh);
   const double frac = loopback_gbps > 0 ? w.gbps / loopback_gbps : 0.0;
 
-  std::printf("bench_transport (2 processes, unix sockets, frames on)\n");
+  std::printf("bench_transport (2 processes x %d PE%s, unix sockets, "
+              "frames on)\n",
+              sh.ppn, sh.ppn == 1 ? "" : "s");
   std::printf("  64 B message rate : %10.0f msgs/s\n", w.msgs_per_sec);
   std::printf("  64 KiB bandwidth  : %10.2f Gbit/s\n", w.gbps);
   std::printf("  loopback floor    : %10.2f Gbit/s (raw socketpair)\n",
@@ -293,8 +342,11 @@ int main(int argc, char** argv) {
               memcpy_gbps);
   std::printf("  wire vs loopback  : %10.2f\n", frac);
 
-  JsonAdd("msgs_per_sec_64B/2proc", w.msgs_per_sec, "msgs_per_sec");
-  JsonAdd("bandwidth_gbps_64KiB/2proc", w.gbps, "gbps");
+  const std::string procs =
+      sh.ppn == 1 ? "2proc" : "2proc_ppn" + std::to_string(sh.ppn);
+  JsonAdd(("msgs_per_sec_64B/" + procs).c_str(), w.msgs_per_sec,
+          "msgs_per_sec");
+  JsonAdd(("bandwidth_gbps_64KiB/" + procs).c_str(), w.gbps, "gbps");
   JsonAdd("loopback_gbps_64KiB/2proc", loopback_gbps, "gbps");
   JsonAdd("memcpy_gbps_64KiB/1copy", memcpy_gbps, "gbps");
   JsonAdd("bandwidth_vs_loopback", frac, "ratio");

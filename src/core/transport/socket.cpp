@@ -6,19 +6,20 @@
 // Threading model: ONE comm thread per node (the "one comm drain" of the
 // two-level SMP design) owns reads, hello/goodbye, reconnects and any
 // backlog; the sending thread owns the common case.  SendRemote /
-// SendNodeCast take the engine mutex, and when the peer's stream is up
-// and its outbox is empty they hand the record to the kernel themselves
-// with one gathered sendmsg (header + body, no staging copy): nothing is
-// queued that the record could overtake, so per-sender FIFO holds.  Only
-// bytes the kernel does not take go into the per-peer outbox, and only
-// then is the wake pipe poked; the comm thread drains that backlog on
-// POLLOUT, gathering many queued records per sendmsg (aggregation frames
-// are the wire unit, so one syscall often moves hundreds of logical
-// messages).  It also reads the peer streams and injects rebuilt messages
-// straight onto the destination PE's delivery lane (DeliverFromWire) or
-// expands node-cast records (CstNodeCastExpand).  Peer::fd is written
-// only under the engine mutex, and a dialed fd is published only once its
-// hello is written and it is non-blocking.
+// SendNodeCast serialize the record into a per-peer outbox under one
+// engine mutex, and when it is the only record there and the peer's
+// stream is up, the sending thread runs the outbox drain (FlushLocked)
+// itself: nothing is queued that the record could overtake, so
+// per-sender FIFO holds.  Only a record the kernel did not fully take
+// stays queued, and only then is the wake pipe poked; the comm thread
+// drains that backlog on POLLOUT, gathering many queued records per
+// sendmsg (aggregation frames are the wire unit, so one syscall often
+// moves hundreds of logical messages).  It also reads the peer streams
+// and injects rebuilt messages straight onto the destination PE's
+// delivery lane (DeliverFromWire) or expands node-cast records
+// (CstNodeCastExpand).  Peer::fd is written only under the engine mutex,
+// and a dialed fd is published only once its hello is written and it is
+// non-blocking.
 //
 // Receive rule: small records are read in 256 KiB chunks and parsed in
 // place; a message body of at least kGatherMinBytes is read() straight
@@ -80,48 +81,19 @@
 namespace converse::detail {
 namespace {
 
-/// One wire record waiting in an outbox: its encoded header inline, and a
-/// body that is either a copy (`copy`, small records) or an owned message
-/// (`msg`, at least kGatherMinBytes) that sendmsg gathers straight from
-/// and that is freed once the record has fully left the kernel — the
-/// sendmsg iovec is the zero-copy boundary, not a staging memcpy.  `off`
-/// counts progress over header + body, so a reconnect can rewind the
-/// record to its start.
+/// One wire record (header + body) waiting in an outbox; `off` tracks
+/// partial sendmsg progress on the deque's front element.  Small records
+/// are fully serialized into `data`; large ones keep only the 16-byte
+/// header there and gather the body straight out of the owned message
+/// (`msg`), which is freed once the record has fully left the kernel —
+/// the sendmsg iovec is the zero-copy boundary, not a staging memcpy.
 struct OutBuf {
-  unsigned char hdr[kWireRecBytes] = {};
-  std::vector<unsigned char> copy;  // small body (empty when msg is set)
-  void* msg = nullptr;              // owned message backing the body
-  std::uint32_t len = 0;            // body bytes
-  std::size_t off = 0;
-  const void* body() const {
-    return msg != nullptr ? msg : static_cast<const void*>(copy.data());
-  }
+  std::vector<unsigned char> data;
+  void* msg = nullptr;       // owned message backing the body (or null)
+  std::size_t msg_len = 0;   // body bytes inside *msg
+  std::size_t off = 0;       // progress over data + msg body
+  std::size_t size() const { return data.size() + msg_len; }
 };
-
-/// Point iovecs at what is left of a record `off` bytes in: the header
-/// remainder (if any), then the body remainder (if any).  Returns how
-/// many of the (at most two) slots it filled and adds their bytes to
-/// `*bytes`.
-int GatherRest(const unsigned char* hdr, const void* body, std::uint32_t len,
-               std::size_t off, iovec* iov, std::size_t* bytes) {
-  int cnt = 0;
-  if (off < kWireRecBytes) {
-    iov[cnt].iov_base = const_cast<unsigned char*>(hdr) + off;
-    iov[cnt].iov_len = kWireRecBytes - off;
-    ++cnt;
-    off = kWireRecBytes;
-  }
-  const std::size_t body_off = off - kWireRecBytes;
-  if (body_off < len) {
-    iov[cnt].iov_base =
-        const_cast<unsigned char*>(static_cast<const unsigned char*>(body)) +
-        body_off;
-    iov[cnt].iov_len = len - body_off;
-    ++cnt;
-  }
-  for (int k = 0; k < cnt; ++k) *bytes += iov[k].iov_len;
-  return cnt;
-}
 
 /// Per-peer connection state.  `fd` is written only under
 /// SocketEngine::mu_ and read by sending threads under it; the comm thread
@@ -160,10 +132,9 @@ struct Pending {
   unsigned char hello[kWireRecBytes] = {};
 };
 
-/// Bodies at least this large are never copied, not even when they queue:
-/// the outbox takes ownership of the message and sendmsg gathers straight
-/// from it.  Below it a queued record copies its body, which is cheaper
-/// than carrying ownership around.
+/// Bodies at least this large skip the outbox staging memcpy and are
+/// gathered by sendmsg straight from the (transferred-ownership) message.
+/// Below it the copy is cheaper than carrying ownership around.
 constexpr std::uint32_t kGatherMinBytes = 4096;
 
 void SetNonBlocking(int fd) {
@@ -245,8 +216,8 @@ class SocketEngine : public Transport {
     const std::uint32_t len = h->total_size;
     CountRecordSent(src, len);
     if (len >= kGatherMinBytes) {
-      // Zero-copy path: sendmsg gathers the body straight from the
-      // message, which is freed once its last byte left the kernel.
+      // Zero-copy path: the outbox takes ownership and sendmsg gathers
+      // the body straight from the message; freed after the last byte.
       Enqueue(machine_.NodeOf(dest_pe),
               immediate ? kWireImmediate : kWireMessage, dest_pe, msg, len,
               msg);
@@ -370,54 +341,40 @@ class SocketEngine : public Transport {
     WireEncode(rec, out);
   }
 
-  /// Send one record.  When the peer's stream is up and its outbox empty,
-  /// the calling thread gathers header + body into one sendmsg itself;
-  /// only what the kernel did not take is queued, and only a queue that
-  /// was empty pokes the comm thread.  With `owned_msg` set the body IS
-  /// the message image and ownership transfers here: it is freed once the
-  /// record has fully left the kernel.  A partly sent record is queued
-  /// whole, with `off` past the sent bytes, so a reconnect can still
-  /// retransmit it from its start.
+  /// Queue one record and, when it is the only one queued for a peer
+  /// whose stream is up, send it from the calling thread: nothing is
+  /// queued ahead of it, so nothing is overtaken.  Only a record the
+  /// kernel did not fully take stays queued, and only then is the comm
+  /// thread woken to drain it on POLLOUT.  With `owned_msg` set, the body
+  /// IS the message image and ownership transfers to the outbox: only the
+  /// 16-byte header is built here, sendmsg gathers the body from the
+  /// message itself, and the message is freed when the record fully
+  /// leaves the kernel.
   void Enqueue(int node, std::uint8_t kind, int dest_pe, const void* body,
                std::uint32_t len, void* owned_msg = nullptr) {
     assert(node >= 0 && node < static_cast<int>(peers_.size()) &&
            node != mynode_);
-    unsigned char hdr[kWireRecBytes];
-    EncodeRec(kind, dest_pe, len, hdr);
-    bool wake = false;
+    OutBuf buf;
+    if (owned_msg != nullptr) {
+      buf.data.resize(kWireRecBytes);
+      buf.msg = owned_msg;
+      buf.msg_len = len;
+    } else {
+      buf.data.resize(kWireRecBytes + len);
+      if (len > 0) std::memcpy(buf.data.data() + kWireRecBytes, body, len);
+    }
+    EncodeRec(kind, dest_pe, len, buf.data.data());
+    bool wake;
     {
       std::lock_guard<std::mutex> lock(mu_);
       Peer& p = peers_[static_cast<std::size_t>(node)];
-      std::size_t sent = 0;
-      if (p.outbox.empty() && p.fd >= 0) {
-        // Nothing queued for this peer, so nothing to overtake.
-        iovec iov[2];
-        std::size_t bytes = 0;
-        const int cnt = GatherRest(hdr, body, len, 0, iov, &bytes);
-        const ssize_t n = SendLocked(p, iov, cnt);
-        if (n > 0) sent = static_cast<std::size_t>(n);
-      }
-      if (sent < kWireRecBytes + len) {
-        OutBuf& b = p.outbox.emplace_back();
-        std::memcpy(b.hdr, hdr, kWireRecBytes);
-        b.len = len;
-        b.off = sent;
-        if (owned_msg != nullptr) {
-          b.msg = owned_msg;
-          owned_msg = nullptr;
-        } else if (len > 0) {
-          const auto* src = static_cast<const unsigned char*>(body);
-          b.copy.assign(src, src + len);
-        }
-        wake = p.outbox.size() == 1;
-      }
+      const bool was_empty = p.outbox.empty();
+      p.outbox.push_back(std::move(buf));
+      if (was_empty) FlushLocked(p);
+      // A record already queued means the comm thread has POLLOUT armed
+      // or is draining; only a backlog this record starts needs the byte.
+      wake = was_empty && !p.outbox.empty();
     }
-    if (owned_msg != nullptr) {
-      check::OnReclaim(owned_msg);  // its last byte left the kernel
-      CmiFree(owned_msg);
-    }
-    // A longer outbox means the comm thread already has POLLOUT armed or
-    // is draining; only the record that starts a backlog wakes it.
     if (wake) Wake();
   }
 
@@ -513,7 +470,9 @@ class SocketEngine : public Transport {
               p.goodbye_tx) {
             continue;
           }
-          EncodeRec(kWireGoodbye, 0, 0, p.outbox.emplace_back().hdr);
+          OutBuf& buf = p.outbox.emplace_back();
+          buf.data.resize(kWireRecBytes);
+          EncodeRec(kWireGoodbye, 0, 0, buf.data.data());
           p.goodbye_tx = true;
         }
       }
@@ -936,39 +895,55 @@ class SocketEngine : public Transport {
     FlushLocked(p);
   }
 
-  /// One sendmsg on `p`'s stream, retrying EINTR.  Returns the bytes the
-  /// kernel took, or -1 (EAGAIN, or a broken stream, which the read side
-  /// tears down on its next poll via POLLERR/POLLHUP).  Every call counts
-  /// as a syscall, the ones that send nothing included.  Caller holds mu_.
-  ssize_t SendLocked(Peer& p, iovec* iov, int cnt) {
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = static_cast<std::size_t>(cnt);
-    for (;;) {
-      const ssize_t n = sendmsg(p.fd, &mh, MSG_NOSIGNAL);
-      syscalls_.fetch_add(1, std::memory_order_relaxed);
-      if (n >= 0 || errno != EINTR) return n;
-    }
-  }
-
   /// Gather as many queued records as fit into iovecs and push them with
-  /// sendmsg until EAGAIN or the outbox empties; a gathered body's message
-  /// is freed once its last byte is accepted.  Caller holds mu_.
+  /// sendmsg until EAGAIN or the outbox empties.  Zero-copy records
+  /// contribute two iovecs (header bytes + the message image itself); the
+  /// message is freed once its last byte is accepted.  Every sendmsg
+  /// counts as a syscall, the ones that send nothing included.  Caller
+  /// holds mu_.
   void FlushLocked(Peer& p) {
     while (!p.outbox.empty() && p.fd >= 0) {
       iovec iov[16];
       int cnt = 0;
       std::size_t queued = 0;
       for (const OutBuf& b : p.outbox) {
-        if (cnt > 14) break;  // a record may need two slots
-        cnt += GatherRest(b.hdr, b.body(), b.len, b.off, iov + cnt, &queued);
+        if (cnt >= 15) break;  // a gathered record may need two slots
+        if (b.off < b.data.size()) {
+          iov[cnt].iov_base =
+              const_cast<unsigned char*>(b.data.data()) + b.off;
+          iov[cnt].iov_len = b.data.size() - b.off;
+          queued += iov[cnt].iov_len;
+          ++cnt;
+          if (b.msg != nullptr) {
+            iov[cnt].iov_base = b.msg;
+            iov[cnt].iov_len = b.msg_len;
+            queued += b.msg_len;
+            ++cnt;
+          }
+        } else {
+          const std::size_t body_off = b.off - b.data.size();
+          iov[cnt].iov_base = static_cast<unsigned char*>(b.msg) + body_off;
+          iov[cnt].iov_len = b.msg_len - body_off;
+          queued += iov[cnt].iov_len;
+          ++cnt;
+        }
       }
-      const ssize_t n = SendLocked(p, iov, cnt);
-      if (n < 0) return;
+      msghdr mh{};
+      mh.msg_iov = iov;
+      mh.msg_iovlen = static_cast<std::size_t>(cnt);
+      const ssize_t n = sendmsg(p.fd, &mh, MSG_NOSIGNAL);
+      syscalls_.fetch_add(1, std::memory_order_relaxed);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        // EAGAIN: POLLOUT resumes the drain.  Otherwise the stream broke
+        // under us; the read side handles teardown/reconnect on its next
+        // poll (POLLERR/POLLHUP).
+        return;
+      }
       std::size_t left = static_cast<std::size_t>(n);
       while (left > 0) {
         OutBuf& front = p.outbox.front();
-        const std::size_t want = kWireRecBytes + front.len - front.off;
+        const std::size_t want = front.size() - front.off;
         if (left >= want) {
           left -= want;
           if (front.msg != nullptr) {
